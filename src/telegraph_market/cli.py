@@ -20,15 +20,7 @@ from . import mc
 from .errors import ArbitrageError, BudgetError, TruncationError
 from .hedging import make_call_pricer, replication_backtest
 from .measure import martingale_intensities
-from .model import (
-    ModelParams,
-    bond_price,
-    jump_value,
-    regime_at,
-    sample_path,
-    stock_price,
-    telegraph_value,
-)
+from .model import ModelParams, path_state, sample_path
 from .densities import DensityParams, density_total
 from .pricing import (
     CallSpec,
@@ -192,19 +184,15 @@ def cmd_simulate(args: argparse.Namespace, out: io.TextIOBase) -> int:
     writer.writerow(["path_id", "t", "regime", "X", "J", "S", "B"])
     t_grid = np.linspace(0.0, args.horizon, args.grid + 1)
     for pid in range(args.paths):
-        path = sample_path(params, args.horizon, args.seed, pid)
-        for t in t_grid:
-            writer.writerow(
-                [
-                    pid,
-                    _g17(t),
-                    regime_at(path, t),
-                    _g17(telegraph_value(path, params.c_plus, params.c_minus, t)),
-                    _g17(jump_value(path, params.h_plus, params.h_minus, t)),
-                    _g17(stock_price(path, params, t)),
-                    _g17(bond_price(path, params, t)),
-                ]
-            )
+        st = path_state(sample_path(params, args.horizon, args.seed, pid), t_grid)
+        columns = (
+            st.telegraph(params.c_plus, params.c_minus),
+            st.jump_sum(params.h_plus, params.h_minus),
+            st.stock(params),
+            np.exp(st.telegraph(params.r_plus, params.r_minus)),
+        )
+        for t, regime, *vals in zip(t_grid, st.regime().tolist(), *columns):
+            writer.writerow([pid, _g17(t), regime, *map(_g17, vals)])
     return 0
 
 
@@ -214,7 +202,7 @@ def cmd_density(args: argparse.Namespace, out: io.TextIOBase) -> int:
         c_plus=params.c_plus, c_minus=params.c_minus,
         lambda_plus=params.lambda_plus, lambda_minus=params.lambda_minus,
     )
-    sigma = args.sigma
+    sigma = params.sigma0 if args.sigma is None else args.sigma
     lo, hi = params.c_minus * args.t, params.c_plus * args.t
     x = np.linspace(lo, hi, args.points)
     val = density_total(x, args.t, sigma, dens)
@@ -325,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument("--paths", type=int, default=100_000)
     pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--out")
     pr.set_defaults(func=cmd_price)
 
     sim = sub.add_parser("simulate", help="sample paths to CSV")
@@ -373,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--t", type=float, default=1.0)
     lim.add_argument("--out")
     lim.set_defaults(func=cmd_limit_check)
-
-    # price also writes to stdout or --out
-    pr.add_argument("--out")
     return parser
 
 
@@ -385,12 +371,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "sigma", "sentinel") is None:
-        # density --sigma defaults to the config's starting regime
-        params, _ = _safe_config(args, parser)
-        if params is None:
-            return 1
-        args.sigma = params.sigma0
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -411,14 +391,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-
-
-def _safe_config(args, parser):
-    try:
-        return parse_config(_read(args.config))
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return None, None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -172,21 +172,6 @@ def p_n(
     )
 
 
-def p_n_table(
-    x: np.ndarray,
-    t: float,
-    sigma: Regime,
-    params: DensityParams,
-    n_max: int,
-) -> np.ndarray:
-    """Continuous parts for n = 0..n_max stacked as shape (n_max + 1, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.zeros((n_max + 1, x.size))
-    for n in range(1, n_max + 1):
-        table[n] = p_n_continuous(x, t, n, sigma, params)
-    return table
-
-
 def bessel_i0(z: np.ndarray | float) -> np.ndarray | float:
     """Modified Bessel I0 by its power series, z >= 0."""
     return _bessel_series(z, numerator_shift=0)

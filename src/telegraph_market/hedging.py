@@ -14,19 +14,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .measure import martingale_intensities
-from .model import ModelParams, Regime, RegimePath, check_regime
+from .model import ModelParams, Regime, RegimePath, check_regime, path_state
 from .pricing import CallSpec, SeriesControls, call_price, call_value_surface
 
 PricerF = Callable[..., np.ndarray | float]
-
-
-@dataclass(frozen=True)
-class HedgePosition:
-    """Portfolio snapshot: phi stock units, psi bond units."""
-
-    phi: float
-    psi: float
-    capital: float
 
 
 def make_call_pricer(
@@ -61,18 +52,6 @@ def hedge_ratio(
     return float(out) if np.ndim(s) == 0 and np.ndim(t) == 0 else out
 
 
-def hedge_ratio_at_jump(
-    tau: float,
-    s_before: float,
-    sigma_before: Regime,
-    pricer_f: PricerF,
-    params: ModelParams,
-) -> float:
-    """Hedge ratio held across a switch, from pre-switch state; equals the
-    left limit of hedge_ratio, so phi is left-continuous at switch times."""
-    return hedge_ratio(tau, s_before, sigma_before, pricer_f, params)
-
-
 class PdeResidualReport(NamedTuple):
     max_residual: float
     dt: float
@@ -87,7 +66,6 @@ def pde_residual(
     params: ModelParams,
     dt: float,
     dx: float,
-    kink_loci: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> PdeResidualReport:
     """Central-difference residual of the pricing transport equation
     d_t F + c_s x d_x F - (r_s + lam*_s) F + lam*_s F(t, x(1+h_s), -s)
@@ -97,9 +75,6 @@ def pde_residual(
     the stencil the residual is O(dt^2 + dx^2): halving dt and dx together
     cuts it by about 4. Where the stencil crosses a payoff-kink
     characteristic the order drops.
-
-    ``kink_loci(t, x)`` may flag grid points too close to payoff kinks mapped
-    through the characteristics; flagged grids are rejected.
     """
     check_regime(sigma)
     intens = martingale_intensities(params)
@@ -109,8 +84,6 @@ def pde_residual(
         np.asarray(t_grid, dtype=float), np.asarray(x_grid, dtype=float),
         indexing="ij",
     )
-    if kink_loci is not None and np.any(kink_loci(tt, xx)):
-        raise ValueError("grid touches a payoff-kink characteristic")
     f_tp = pricer_f(tt + dt, xx, sigma)
     f_tm = pricer_f(tt - dt, xx, sigma)
     f_xp = pricer_f(tt, xx + dx, sigma)
@@ -136,27 +109,6 @@ class ReplicationStats:
     max_abs_error: float
     min_capital: float
     admissible: bool
-
-
-def _path_states(
-    path: RegimePath, params: ModelParams, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regime, stock price, and short rate at each grid time (right-continuous
-    at switches, so values at a switch time are post-jump)."""
-    switches = np.asarray(path.switch_times)
-    k = switches.size
-    sigmas_seg = path.sigma0 * (-1) ** np.arange(k + 1)
-    c_seg = np.where(sigmas_seg == 1, params.c_plus, params.c_minus)
-    r_seg = np.where(sigmas_seg == 1, params.r_plus, params.r_minus)
-    h_at_switch = np.where(sigmas_seg[:-1] == 1, params.h_plus, params.h_minus)
-    edges = np.concatenate(([0.0], switches))
-    seg_len = np.diff(np.concatenate((edges, [path.horizon])))
-    x_at_edge = np.concatenate(([0.0], np.cumsum(c_seg[:-1] * seg_len[:-1])))
-    log_j_at_edge = np.concatenate(([0.0], np.cumsum(np.log1p(h_at_switch))))
-    idx = np.searchsorted(switches, times, side="right")
-    x_t = x_at_edge[idx] + c_seg[idx] * (times - edges[idx])
-    s_t = params.s0 * np.exp(x_t + log_j_at_edge[idx])
-    return sigmas_seg[idx], s_t, r_seg[idx]
 
 
 def replication_backtest(
@@ -194,9 +146,11 @@ def replication_backtest(
             raise ValueError("path horizon shorter than the claim maturity")
         times = np.unique(np.concatenate((uniform, np.asarray(path.switch_times))))
         times = times[times <= maturity]
-        sig, s_t, r_t = _path_states(path, params, times)
+        st = path_state(path, times)
+        sig = st.regime()
+        r_t = np.where(sig == 1, params.r_plus, params.r_minus)
         grids.append(times)
-        states.append((sig, s_t, r_t))
+        states.append((sig, st.stock(params), r_t))
 
     offsets = np.cumsum([0] + [g.size - 1 for g in grids])
     t_all = np.concatenate([g[:-1] for g in grids])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .densities import DensityParams, mgf
 from .measure import martingale_intensities
-from .model import ModelParams, log_kappa_sequence, path_rng
+from .model import ModelParams, PathState, sample_switch_times, switch_state
 from .quantile import QuantileSolution
 
 _BLOCK_SIZE = 1 << 14
@@ -32,46 +32,6 @@ class McEstimate:
     std_error: float
     n_paths: int
     seed: int
-
-
-def _draw_block(
-    lam_first: float,
-    lam_second: float,
-    t_horizon: float,
-    seed: int,
-    block_index: int,
-    n_cols: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Switch counts and starting-regime occupation times for one block.
-
-    Returns (n_switches, occ_first) with occ_first the time spent in the
-    starting regime up to the horizon.
-    """
-    rng = path_rng(seed, block_index)
-    lam_max = max(lam_first, lam_second)
-    k_max = int(lam_max * t_horizon + 12.0 * math.sqrt(lam_max * t_horizon) + 30)
-    rates = np.where(np.arange(k_max) % 2 == 0, lam_first, lam_second)
-    gaps = rng.exponential(1.0, size=(k_max, n_cols)) / rates[:, None]
-    times = np.cumsum(gaps, axis=0)
-    while np.any(times[-1] < t_horizon):
-        # deterministic extension from the same stream (vanishingly rare)
-        extra_rates = np.where(
-            (np.arange(times.shape[0], times.shape[0] + k_max)) % 2 == 0,
-            lam_first,
-            lam_second,
-        )
-        extra = rng.exponential(1.0, size=(k_max, n_cols)) / extra_rates[:, None]
-        times = np.vstack((times, times[-1] + np.cumsum(extra, axis=0)))
-    n_switches = np.sum(times < t_horizon, axis=0)
-    # saturated boundaries 0, tau_1^T, tau_2^T, ..., T: segments beyond the
-    # horizon collapse to zero length, so even-index segments sum exactly to
-    # the time spent in the starting regime
-    bounds = np.vstack(
-        (np.zeros(n_cols), np.minimum(times, t_horizon), np.full(n_cols, t_horizon))
-    )
-    seg = np.diff(bounds, axis=0)
-    occ_first = np.sum(seg[0::2], axis=0)
-    return n_switches, occ_first
 
 
 def simulate_terminals(
@@ -90,13 +50,14 @@ def simulate_terminals(
     """
     lam_p = params.lambda_plus if lam_plus is None else lam_plus
     lam_m = params.lambda_minus if lam_minus is None else lam_minus
-    lam_first = lam_p if params.sigma0 == +1 else lam_m
-    lam_second = lam_m if params.sigma0 == +1 else lam_p
     n_blocks = (n_paths + _BLOCK_SIZE - 1) // _BLOCK_SIZE
 
     def one(block: int) -> tuple[np.ndarray, np.ndarray]:
         cols = min(_BLOCK_SIZE, n_paths - block * _BLOCK_SIZE)
-        return _draw_block(lam_first, lam_second, t_horizon, seed, block, cols)
+        times = sample_switch_times(
+            params.sigma0, lam_p, lam_m, t_horizon, seed, block, cols
+        )
+        return switch_state(times, t_horizon)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -108,20 +69,14 @@ def simulate_terminals(
     return n_sw, occ
 
 
-def _terminal_values(
-    params: ModelParams, n_sw: np.ndarray, occ0: np.ndarray, t_horizon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S(T), discount B(T)^{-1}, X(T)) from terminal summary statistics."""
-    sig = params.sigma0
-    c0, c1 = params.c(sig), params.c(-sig)
-    r0, r1 = params.r(sig), params.r(-sig)
-    x = c0 * occ0 + c1 * (t_horizon - occ0)
-    y = r0 * occ0 + r1 * (t_horizon - occ0)
-    log_kap = log_kappa_sequence(
-        int(n_sw.max()) if n_sw.size else 0, sig, params.h_plus, params.h_minus
+def _estimate(vals: np.ndarray, seed: int) -> McEstimate:
+    n_paths = vals.size
+    return McEstimate(
+        mean=float(vals.mean()),
+        std_error=float(vals.std(ddof=1) / math.sqrt(n_paths)),
+        n_paths=n_paths,
+        seed=seed,
     )
-    s = params.s0 * np.exp(x + log_kap[n_sw])
-    return s, np.exp(-y), x
 
 
 def mc_price(
@@ -142,17 +97,11 @@ def mc_price(
         lam_p, lam_m = params.lambda_plus, params.lambda_minus
     else:
         raise ValueError("measure must be 'physical' or 'martingale'")
-    n_sw, occ0 = simulate_terminals(
+    st = PathState(params.sigma0, t_horizon, *simulate_terminals(
         params, t_horizon, n_paths, seed, lam_p, lam_m, n_workers
-    )
-    s, disc, _ = _terminal_values(params, n_sw, occ0, t_horizon)
-    vals = disc * np.asarray(payoff(s), dtype=float)
-    return McEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-        seed=seed,
-    )
+    ))
+    disc = np.exp(-st.telegraph(params.r_plus, params.r_minus))
+    return _estimate(disc * np.asarray(payoff(st.stock(params)), dtype=float), seed)
 
 
 def mc_price_girsanov(
@@ -166,24 +115,16 @@ def mc_price_girsanov(
     """Martingale-measure price via physical simulation reweighted by the
     Girsanov density (cross-check route for the direct lambda* simulation)."""
     intens = martingale_intensities(params)
-    n_sw, occ0 = simulate_terminals(
+    st = PathState(params.sigma0, t_horizon, *simulate_terminals(
         params, t_horizon, n_paths, seed, n_workers=n_workers
-    )
-    s, disc, _ = _terminal_values(params, n_sw, occ0, t_horizon)
-    sig = params.sigma0
-    x_star = intens.c_star(sig) * occ0 + intens.c_star(-sig) * (t_horizon - occ0)
-    log_kap_star = log_kappa_sequence(
-        int(n_sw.max()) if n_sw.size else 0, sig,
+    ))
+    disc = np.exp(-st.telegraph(params.r_plus, params.r_minus))
+    z = st.jump_exponential(
+        intens.c_star_plus, intens.c_star_minus,
         intens.h_star_plus, intens.h_star_minus,
     )
-    z = np.exp(x_star + log_kap_star[n_sw])
-    vals = z * disc * np.asarray(payoff(s), dtype=float)
-    return McEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-        seed=seed,
-    )
+    vals = z * disc * np.asarray(payoff(st.stock(params)), dtype=float)
+    return _estimate(vals, seed)
 
 
 def mc_success_probability(
@@ -197,7 +138,9 @@ def mc_success_probability(
     n_sw, occ0 = simulate_terminals(
         params, solution.maturity, n_paths, seed, n_workers=n_workers
     )
-    _, _, x = _terminal_values(params, n_sw, occ0, solution.maturity)
+    x = PathState(params.sigma0, solution.maturity, n_sw, occ0).telegraph(
+        params.c_plus, params.c_minus
+    )
     inside = np.ones(n_paths, dtype=bool)
     for n, thr in enumerate(solution.thresholds):
         mask = n_sw == n
@@ -209,13 +152,7 @@ def mc_success_probability(
             inside[mask] = x[mask] <= thr
     # switch counts beyond the stored range are treated as fully included,
     # matching the series form (their total mass is below the series tail)
-    vals = inside.astype(float)
-    return McEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-        seed=seed,
-    )
+    return _estimate(inside.astype(float), seed)
 
 
 @dataclass(frozen=True)
@@ -264,42 +201,27 @@ def arbitrage_demo(
     else:
         raise ValueError("measure must be 'physical' or 'martingale'")
 
-    sig0 = params.sigma0
-    lam_first = lam_p if sig0 == +1 else lam_m
-    lam_second = lam_m if sig0 == +1 else lam_p
     profits = np.empty(n_paths)
     n_blocks = (n_paths + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     log_a, log_b = math.log(level_a / params.s0), math.log(level_b / params.s0)
     for block in range(n_blocks):
         cols = min(_BLOCK_SIZE, n_paths - block * _BLOCK_SIZE)
-        rng = path_rng(seed, block)
-        lam_max = max(lam_first, lam_second)
-        k_max = int(lam_max * t_horizon + 12.0 * math.sqrt(lam_max * t_horizon) + 30)
-        rates = np.where(np.arange(k_max) % 2 == 0, lam_first, lam_second)
-        gaps = rng.exponential(1.0, size=(k_max, cols)) / rates[:, None]
+        times = sample_switch_times(
+            params.sigma0, lam_p, lam_m, t_horizon, seed, block, cols
+        )
         for j in range(cols):
-            switches = np.cumsum(gaps[:, j])
-            switches = switches[switches < t_horizon]
+            switches = times[:, j]
             profits[block * _BLOCK_SIZE + j] = _strategy_profit(
-                params, switches, t_horizon, log_a, log_b
+                params, switches[switches < t_horizon], t_horizon, log_a, log_b
             )
-    disc_profits = profits  # rates are zero in the demo; control uses r = 0 too
+    # rates are zero in the demo; the control uses r = 0 too, so profits
+    # need no discounting
     pos = (profits > 1e-12 * params.s0).astype(float)
     return ArbitrageDemoResult(
         profits=profits,
         min_profit=float(profits.min()),
-        p_positive=McEstimate(
-            mean=float(pos.mean()),
-            std_error=float(pos.std(ddof=1) / math.sqrt(n_paths)),
-            n_paths=n_paths,
-            seed=seed,
-        ),
-        mean_profit=McEstimate(
-            mean=float(disc_profits.mean()),
-            std_error=float(disc_profits.std(ddof=1) / math.sqrt(n_paths)),
-            n_paths=n_paths,
-            seed=seed,
-        ),
+        p_positive=_estimate(pos, seed),
+        mean_profit=_estimate(profits, seed),
     )
 
 
@@ -385,8 +307,12 @@ def limit_scaling_check(
             lambda_plus=lam, lambda_minus=lam,
         )
         h = math.exp(v_a / root) - 1.0
+        # mgf's tail bound (lam t)^{n+1} / (n+1)! carries no e^{-lam t}; by
+        # Stirling it is below (e lam t / (n+1))^{n+1}, which is 2^{-(n+1)}
+        # once n + 1 >= 2 e lam t
+        budget = max(400, math.ceil(2.0 * math.e * lam * t_horizon))
         for j, z in enumerate(z_values):
-            val = mgf(float(z), t_horizon, +1, dens, h, h, max_terms=400)
+            val = mgf(float(z), t_horizon, +1, dens, h, h, max_terms=budget)
             target = math.exp(mu * z * t_horizon + 0.5 * v2 * z * z * t_horizon)
             errors[i, j] = abs(val - target) / target
     return errors

@@ -11,18 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArbitrageError
-from .model import (
-    ModelParams,
-    Regime,
-    RegimePath,
-    check_regime,
-    kappa,
-    switch_count,
-    telegraph_value,
-)
+from .model import ModelParams, Regime, RegimePath, check_regime, path_state
 
 
 @dataclass(frozen=True)
@@ -130,9 +120,7 @@ def girsanov_density(
     """
     if intens is None:
         intens = martingale_intensities(params)
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError("t outside the path horizon")
-    x_star = telegraph_value(path, intens.c_star_plus, intens.c_star_minus, t)
-    n = switch_count(path, t)
-    kap = kappa(n, path.sigma0, intens.h_star_plus, intens.h_star_minus)
-    return float(np.exp(x_star) * kap)
+    return float(path_state(path, t).jump_exponential(
+        intens.c_star_plus, intens.c_star_minus,
+        intens.h_star_plus, intens.h_star_minus,
+    ))

@@ -4,20 +4,24 @@ processes built on it.
 The regime is the state sigma in {+1, -1} of a continuous-time Markov chain
 with switch intensities lambda_plus (out of +1) and lambda_minus (out of -1).
 A path is stored event-driven: only the exact switch times are kept, so grid
-evaluation introduces no discretization error.
+evaluation introduces no discretization error. One sampler draws switch times
+(``sample_switch_times``) and one evaluator maps them to the switch count and
+the time spent in the starting regime (``switch_state``); every path quantity
+is a function of those two numbers (``PathState``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 Regime = int  # +1 or -1
 
 _UINT64_MASK = (1 << 64) - 1
+_CHUNK_ROWS = 16  # rows of exponential waits drawn per chunk (even: rates alternate)
 
 
 def check_regime(sigma: int) -> int:
@@ -143,72 +147,162 @@ def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def sample_switch_times(
+    sigma0: Regime,
+    lam_plus: float,
+    lam_minus: float,
+    horizon: float,
+    seed: int,
+    key: int,
+    n_cols: int,
+) -> np.ndarray:
+    """Switch times of ``n_cols`` independent paths, shape (rows, n_cols).
+
+    Standard exponentials from ``path_rng(seed, key)`` are drawn row-major in
+    chunks of ``_CHUNK_ROWS`` rows and divided by the alternating rates
+    lambda_{sigma0}, lambda_{-sigma0}, ...; the running cumsum is carried from
+    chunk to chunk. Chunks are drawn until every column has passed the
+    horizon, so column j holds path j's switch times in increasing order,
+    ending with at least one time beyond the horizon.
+    """
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    check_regime(sigma0)
+    lam_first, lam_second = (
+        (lam_plus, lam_minus) if sigma0 == +1 else (lam_minus, lam_plus)
+    )
+    rates = np.where(np.arange(_CHUNK_ROWS) % 2 == 0, lam_first, lam_second)
+    rng = path_rng(seed, key)
+    chunks = []
+    last = np.zeros(n_cols)
+    while not chunks or np.any(last <= horizon):
+        gaps = rng.standard_exponential(size=(_CHUNK_ROWS, n_cols)) / rates[:, None]
+        gaps[0] += last
+        chunks.append(np.cumsum(gaps, axis=0))
+        last = chunks[-1][-1]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def switch_state(
+    switch_times: np.ndarray, t: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N(t), time spent in the starting regime on [0, t]) from switch times.
+
+    ``switch_times`` has shape (k, *batch), increasing along axis 0, and
+    ``t`` broadcasts against the batch shape. N is right-continuous (it
+    counts switches <= t). The occupation sums the even-index segments
+    between the saturated boundaries 0, min(tau_1, t), ..., min(tau_k, t), t:
+    segments beyond t collapse to zero length.
+    """
+    t = np.asarray(t, dtype=float)
+    capped = np.minimum(switch_times, t)
+    batch = capped.shape[1:]
+    n = np.sum(switch_times <= t, axis=0)
+    bounds = np.concatenate(
+        (np.zeros((1, *batch)), capped, np.broadcast_to(t, (1, *batch)))
+    )
+    occ = np.sum(np.diff(bounds, axis=0)[0::2], axis=0)
+    return n, occ
+
+
+class PathState(NamedTuple):
+    """Switch count N(t) and starting-regime occupation at query times t.
+
+    Every path quantity is a function of these two numbers: a telegraph
+    integral is c_{sigma0} occ + c_{-sigma0} (t - occ) for the velocity pair
+    (X), the rate pair (ln B) or the Girsanov pair (X*), and the jump factors
+    depend on N alone.
+    """
+
+    sigma0: Regime
+    t: np.ndarray | float
+    n: np.ndarray
+    occ: np.ndarray
+
+    def regime(self) -> np.ndarray:
+        return np.where(self.n % 2 == 0, self.sigma0, -self.sigma0)
+
+    def telegraph(self, c_plus: float, c_minus: float) -> np.ndarray:
+        c0, c1 = (c_plus, c_minus) if self.sigma0 == +1 else (c_minus, c_plus)
+        return c0 * self.occ + c1 * (self.t - self.occ)
+
+    def jump_sum(self, h_plus: float, h_minus: float) -> np.ndarray:
+        """Sum of pre-switch-indexed sizes h_{sigma0}, h_{-sigma0}, ... over
+        the N switches."""
+        h0, h1 = (h_plus, h_minus) if self.sigma0 == +1 else (h_minus, h_plus)
+        return h0 * ((self.n + 1) // 2) + h1 * (self.n // 2)
+
+    def jump_exponential(
+        self, c_plus: float, c_minus: float, h_plus: float, h_minus: float
+    ) -> np.ndarray:
+        """e^{X} kappa_N for the velocity pair (c+, c-) and jump pair (h+, h-):
+        S / S0 for the market's pairs, the Girsanov density Z for (c*, h*)."""
+        return np.exp(
+            self.telegraph(c_plus, c_minus)
+            + self.jump_sum(math.log1p(h_plus), math.log1p(h_minus))
+        )
+
+    def stock(self, params: ModelParams) -> np.ndarray:
+        return params.s0 * self.jump_exponential(
+            params.c_plus, params.c_minus, params.h_plus, params.h_minus
+        )
+
+
+def path_state(path: RegimePath, t: np.ndarray | float) -> PathState:
+    """State of one path at query times t in [0, horizon]."""
+    t = np.asarray(t, dtype=float)
+    if np.any((t < 0.0) | (t > path.horizon)):
+        raise ValueError(f"time {t} outside [0, {path.horizon}]")
+    times = np.asarray(path.switch_times, dtype=float)
+    n, occ = switch_state(times.reshape(-1, *([1] * t.ndim)), t)
+    return PathState(path.sigma0, t, n, occ)
+
+
+def _scalar(x: np.ndarray, t: np.ndarray | float, kind: type = float):
+    return kind(x) if np.ndim(t) == 0 else x
+
+
 def sample_path(
     params: ModelParams,
     horizon: float,
     seed: int,
     path_index: int = 0,
 ) -> RegimePath:
-    """Draw one regime path: independent exponential waits with the rate
-    alternating lambda_{sigma0}, lambda_{-sigma0}, ...
-    """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    rng = path_rng(seed, path_index)
-    times: list[float] = []
-    sigma = params.sigma0
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / params.lam(sigma))
-        if t > horizon:
-            break
-        times.append(t)
-        sigma = -sigma
-    return RegimePath(sigma0=params.sigma0, switch_times=tuple(times), horizon=horizon)
+    """Draw one regime path: the one-column case of ``sample_switch_times``,
+    keyed by (seed, path_index)."""
+    times = sample_switch_times(
+        params.sigma0, params.lambda_plus, params.lambda_minus,
+        horizon, seed, path_index, 1,
+    )[:, 0]
+    return RegimePath(
+        sigma0=params.sigma0,
+        switch_times=tuple(times[times <= horizon].tolist()),
+        horizon=horizon,
+    )
 
 
-def _check_time(path: RegimePath, t: float) -> None:
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError(f"time {t} outside [0, {path.horizon}]")
-
-
-def switch_count(path: RegimePath, t: float) -> int:
+def switch_count(path: RegimePath, t: np.ndarray | float) -> int | np.ndarray:
     """Number of switches on [0, t]."""
-    _check_time(path, t)
-    return bisect_right(path.switch_times, t)
+    return _scalar(path_state(path, t).n, t, int)
 
 
-def regime_at(path: RegimePath, t: float) -> Regime:
+def regime_at(path: RegimePath, t: np.ndarray | float) -> Regime | np.ndarray:
     """Regime at time t (right-continuous at switch times)."""
-    n = switch_count(path, t)
-    return path.sigma0 if n % 2 == 0 else -path.sigma0
+    return _scalar(path_state(path, t).regime(), t, int)
 
 
-def telegraph_value(path: RegimePath, c_plus: float, c_minus: float, t: float) -> float:
+def telegraph_value(
+    path: RegimePath, c_plus: float, c_minus: float, t: np.ndarray | float
+) -> float | np.ndarray:
     """Time-integral of the regime-indexed velocity up to t."""
-    _check_time(path, t)
-    c0 = c_plus if path.sigma0 == +1 else c_minus
-    c1 = c_minus if path.sigma0 == +1 else c_plus
-    total = 0.0
-    prev = 0.0
-    flipped = False
-    for tau in path.switch_times:
-        if tau > t:
-            break
-        total += (c1 if flipped else c0) * (tau - prev)
-        prev = tau
-        flipped = not flipped
-    total += (c1 if flipped else c0) * (t - prev)
-    return total
+    return _scalar(path_state(path, t).telegraph(c_plus, c_minus), t)
 
 
-def jump_value(path: RegimePath, h_plus: float, h_minus: float, t: float) -> float:
+def jump_value(
+    path: RegimePath, h_plus: float, h_minus: float, t: np.ndarray | float
+) -> float | np.ndarray:
     """Sum of jump sizes indexed by the pre-switch regime, over switches <= t."""
-    n = switch_count(path, t)
-    h0 = h_plus if path.sigma0 == +1 else h_minus
-    h1 = h_minus if path.sigma0 == +1 else h_plus
-    # jumps alternate h_{sigma0}, h_{-sigma0}, ...
-    return h0 * ((n + 1) // 2) + h1 * (n // 2)
+    return _scalar(path_state(path, t).jump_sum(h_plus, h_minus), t)
 
 
 def kappa(n: int, sigma0: Regime, h_plus: float, h_minus: float) -> float:
@@ -235,16 +329,18 @@ def log_kappa_sequence(
     return ((n + 1) // 2) * math.log1p(h0) + (n // 2) * math.log1p(h1)
 
 
-def stock_price(path: RegimePath, params: ModelParams, t: float) -> float:
+def stock_price(
+    path: RegimePath, params: ModelParams, t: np.ndarray | float
+) -> float | np.ndarray:
     """S(t) = S0 * exp(X(t)) * kappa_{N(t)}; strictly positive."""
-    x = telegraph_value(path, params.c_plus, params.c_minus, t)
-    n = switch_count(path, t)
-    return params.s0 * math.exp(x) * kappa(n, path.sigma0, params.h_plus, params.h_minus)
+    return _scalar(path_state(path, t).stock(params), t)
 
 
-def bond_price(path: RegimePath, params: ModelParams, t: float) -> float:
+def bond_price(
+    path: RegimePath, params: ModelParams, t: np.ndarray | float
+) -> float | np.ndarray:
     """B(t) = exp of the time-integral of the regime-indexed rate."""
-    return math.exp(telegraph_value(path, params.r_plus, params.r_minus, t))
+    return _scalar(np.exp(path_state(path, t).telegraph(params.r_plus, params.r_minus)), t)
 
 
 def linear_transform_coeffs(

@@ -1,42 +1,11 @@
-"""Shared numerical helpers: quadrature, bisection, series tail bounds."""
+"""Shared numerical helpers: quadrature nodes, bisection, series tail bounds."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import integrate as _integrate
-
-from .errors import TruncationError
-
-QUAD_ABS_TOL = 1e-12
-
-
-def integrate_interval(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    points: Sequence[float] | None = None,
-    abs_tol: float = QUAD_ABS_TOL,
-) -> float:
-    """Adaptive Gauss-Kronrod integration of ``f`` over the finite interval [a, b].
-
-    Interior break points (kinks, mild endpoint singularities) can be passed
-    through ``points``; they are clipped to the open interval.
-    """
-    if not b > a:
-        return 0.0
-    brk = None
-    if points is not None:
-        brk = sorted({float(x) for x in points if a < x < b})
-        if not brk:
-            brk = None
-    val, _err = _integrate.quad(
-        f, a, b, points=brk, epsabs=abs_tol, epsrel=1e-11, limit=400
-    )
-    return val
 
 
 def bisect_root(
@@ -130,18 +99,6 @@ def poisson_tail_bound(rate_t: float, n: int) -> float:
         return math.inf
     log_head = (n + 1) * math.log(rate_t) - math.lgamma(n + 2)
     return math.exp(log_head) / (1.0 - ratio)
-
-
-def pairwise_sum(terms: Sequence[np.ndarray | float]) -> np.ndarray | float:
-    """Sum a list of term arrays with numpy's pairwise reduction."""
-    if len(terms) == 0:
-        return 0.0
-    return np.sum(np.asarray(terms), axis=0)
-
-
-def check_term_budget(n_terms: int, max_terms: int, what: str) -> None:
-    if n_terms >= max_terms:
-        raise TruncationError(f"{what}: term budget of {max_terms} exhausted")
 
 
 def gauss_legendre_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,13 +13,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc
 
 from .densities import DensityParams, p_n_continuous
 from .errors import TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
-from .model import ModelParams, Regime, check_regime, log_kappa_sequence
+from .model import (
+    ModelParams,
+    Regime,
+    check_regime,
+    linear_transform_coeffs,
+    log_kappa_sequence,
+)
 from .numerics import gauss_legendre_nodes, poisson_tail_bound
 
 _HYP_MAX_TERMS = 500
@@ -51,29 +56,6 @@ class SeriesControls:
             raise ValueError("tail_epsilon must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-
-
-@dataclass(frozen=True)
-class RiskNeutralRates:
-    """Tilt coefficients of the discounted-payoff representation."""
-
-    a_r: float
-    b_r: float
-    a_bar: float
-
-    @classmethod
-    def from_params(
-        cls, params: ModelParams, intens: MartingaleIntensities
-    ) -> "RiskNeutralRates":
-        dc = params.c_plus - params.c_minus
-        if dc == 0.0:
-            raise ValueError("tilt coefficients require c_plus != c_minus")
-        a_r = (params.r_plus - params.r_minus) / dc
-        b_r = (params.c_plus * params.r_minus - params.c_minus * params.r_plus) / dc
-        a_bar = (intens.lambda_star_plus + params.r_plus) - (
-            intens.lambda_star_minus + params.r_minus
-        )
-        return cls(a_r=a_r, b_r=b_r, a_bar=a_bar)
 
 
 @dataclass(frozen=True)
@@ -517,7 +499,11 @@ def call_value_surface(
         x_flat = x_arr.ravel()[live]
         s_flat = s.ravel()[live]
         vals = np.empty(live.size)
-        chunk = 1 << 21
+        # each series term holds ~20 temporaries of a chunk's size (the v_n
+        # kernel cache among them); 256 KB arrays keep that working set small
+        # enough for the allocator to reuse heap memory instead of returning
+        # it to the OS and faulting it back in on every term
+        chunk = 1 << 15
         for i in range(0, live.size, chunk):
             xc = x_flat[i : i + chunk]
             sc = s_flat[i : i + chunk]
@@ -557,14 +543,17 @@ def merton_price(
         )
     lam_star = (c - r) / h
     w = (math.log(strike / s0) - c * maturity) / math.log1p(-h)
+    # pdtr(k, m) = P(N <= k) and pdtrc(k, m) = P(N > k) for N ~ Poisson(m);
+    # both are nan for k < 0, where the probabilities are 0 and 1
+    m_u, m_big = lam_star * maturity, lam_star * (1.0 - h) * maturity
     if 0 < h < 1:
         n0 = math.ceil(w) - 1
-        u = math.exp(-r * maturity) * float(poisson.cdf(n0, lam_star * maturity))
-        big_u = float(poisson.cdf(n0, lam_star * (1.0 - h) * maturity))
+        q_u, q_big = (pdtr(n0, m_u), pdtr(n0, m_big)) if n0 >= 0 else (0.0, 0.0)
     else:
         n0 = math.floor(w)
-        u = math.exp(-r * maturity) * float(1.0 - poisson.cdf(n0, lam_star * maturity))
-        big_u = float(1.0 - poisson.cdf(n0, lam_star * (1.0 - h) * maturity))
+        q_u, q_big = (pdtrc(n0, m_u), pdtrc(n0, m_big)) if n0 >= 0 else (1.0, 1.0)
+    u = math.exp(-r * maturity) * float(q_u)
+    big_u = float(q_big)
     return s0 * big_u - strike * u
 
 
@@ -683,9 +672,9 @@ def european_price_F(
                 return math.exp(-r_sig * s) * acc
         raise TruncationError("payoff series exceeded the term budget")
 
-    dc = params.c_plus - params.c_minus
-    a_r = (params.r_plus - params.r_minus) / dc
-    b_r = (params.c_plus * params.r_minus - params.c_minus * params.r_plus) / dc
+    a_r, b_r = linear_transform_coeffs(
+        params.c_plus, params.c_minus, params.r_plus, params.r_minus
+    )
     dens = DensityParams(
         c_plus=params.c_plus, c_minus=params.c_minus,
         lambda_plus=lsp, lambda_minus=lsm,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .measure import MartingaleIntensities, martingale_intensities
-from .model import ModelParams, kappa, log_kappa_sequence
+from .model import ModelParams, kappa, linear_transform_coeffs, log_kappa_sequence
 from .numerics import bisect_root, expand_bracket_down, expand_bracket_up, poisson_tail_bound
 from .pricing import CallSpec, SeriesControls, call_price, u_n
 
@@ -59,14 +59,9 @@ def density_ratio_coeffs(
     params: ModelParams, intens: MartingaleIntensities
 ) -> tuple[float, float]:
     """Coefficients (a, b) of the density ratio dP*/dP = e^{a X(T) + b T} kappa*."""
-    dc = params.c_plus - params.c_minus
-    if dc == 0.0:
-        raise ValueError("density-ratio coefficients require c_plus != c_minus")
-    a = (intens.c_star_plus - intens.c_star_minus) / dc
-    b = (
-        params.c_plus * intens.c_star_minus - params.c_minus * intens.c_star_plus
-    ) / dc
-    return a, b
+    return linear_transform_coeffs(
+        params.c_plus, params.c_minus, intens.c_star_plus, intens.c_star_minus
+    )
 
 
 def _slice_coeff(

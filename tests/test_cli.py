@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telegraph_market
 from telegraph_market.cli import main, parse_config
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
@@ -144,6 +149,21 @@ def test_usage_error_exit_code(capsys):
                  "--maturity", "1"]) == 1
 
 
+def test_cli_import_skips_heavy_scipy_modules():
+    # start-up cost: the CLI must not pull in scipy.stats or scipy.integrate
+    src = str(Path(telegraph_market.__file__).resolve().parents[1])
+    probe = (
+        "import sys, telegraph_market.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_csv_contract(cfg, tmp_path, capsys):
@@ -266,3 +286,25 @@ def test_limit_check_report(capsys):
     assert [lvl["level"] for lvl in doc["levels"]] == [1, 4, 16, 64]
     assert all(a > b for a, b in zip(maxes, maxes[1:]))
     assert maxes[-1] < 0.02
+
+
+def test_limit_check_beyond_level_64(capsys):
+    # the mgf term budget grows with lambda t, so level 256 converges
+    code, out = _run(
+        ["limit-check", "--vc", "0.3", "--va", "0.2", "--mu", "0.05",
+         "--levels", "64", "256", "--z", "1", "--t", "1"],
+        capsys,
+    )
+    assert code == 0
+    maxes = [lvl["max_error"] for lvl in json.loads(out)["levels"]]
+    assert maxes[1] < maxes[0] < 0.02
+
+
+def test_density_bad_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace("sigma0 = +1", "sigma0 = 1"))
+    out = tmp_path / "density.csv"
+    code = main(["density", "--config", str(cfg), "--t", "1.0", "--out", str(out)])
+    assert code == 1
+    assert "sigma0" in capsys.readouterr().err
+    assert out.read_text() == ""

@@ -6,13 +6,14 @@ import pytest
 
 from telegraph_market.hedging import (
     hedge_ratio,
-    hedge_ratio_at_jump,
     make_call_pricer,
     pde_residual,
     replication_backtest,
 )
 from telegraph_market.model import RegimePath, sample_path
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
+
+from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
 
 CTRL = SeriesControls()
 
@@ -62,15 +63,16 @@ def test_hedge_ratio_zero_jump_rejected(pricer_and_params):
 
 
 def test_hedge_ratio_left_continuous_at_jumps(pricer_and_params):
-    pricer, params, _ = pricer_and_params
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        tau = float(rng.uniform(0.05, 0.95))
-        s_before = float(rng.uniform(70.0, 140.0))
-        sigma_before = 1 if rng.random() < 0.5 else -1
-        held = hedge_ratio_at_jump(tau, s_before, sigma_before, pricer, params)
-        left = hedge_ratio(tau, s_before, sigma_before, pricer, params)
-        assert held == left  # identical formula, bitwise equal
+    # approaching a switch from the left, the hedge ratio tends to the one
+    # held across it, computed from the pre-switch state (S(tau-), sigma(tau-));
+    # the gap is linear in eps (measured max gap / eps 2.41 over 70 events)
+    pricer, params, spec = pricer_and_params
+    paths = [sample_path(params, spec.maturity, seed=5, path_index=i)
+             for i in range(40)]
+    gaps = hedge_ratio_left_gaps(paths, params, pricer, spec.maturity)
+    assert gaps.shape[1] > 50
+    for row, eps in zip(gaps, LEFT_LIMIT_EPS):
+        assert row.max() <= 5.0 * eps
 
 
 def test_pde_residual_linear_payoff_exact(pricer_and_params):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from telegraph_market import mc
-from telegraph_market.model import ModelParams
+from telegraph_market.model import (
+    ModelParams,
+    PathState,
+    conditional_means,
+    martingale_defect,
+)
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
 CTRL = SeriesControls()
@@ -147,3 +152,35 @@ def test_limit_scaling_pure_velocity_case():
     errs = mc.limit_scaling_check(0.3, 0.0, 0.1, [1, 4, 16, 64], [1.0], 1.0)
     assert np.all(np.diff(errs[:, 0]) < 0)
     assert errs[-1, 0] < 0.02
+
+
+def _terminal_xj(params, t, n_paths, seed):
+    st = PathState(params.sigma0, t, *mc.simulate_terminals(params, t, n_paths, seed))
+    return (
+        st.telegraph(params.c_plus, params.c_minus),
+        st.jump_sum(params.h_plus, params.h_minus),
+    )
+
+
+@pytest.mark.parametrize("sigma0, seed", [(+1, 21), (-1, 22)])
+def test_conditional_means_match_simulation(asym_params, sigma0, seed):
+    params = replace(asym_params, sigma0=sigma0)
+    t, n = 1.3, 400_000
+    x, j = _terminal_xj(params, t, n, seed)
+    mean_j, mean_x = conditional_means(params, sigma0, t)
+    for vals, ref in ((x, mean_x), (j, mean_j)):
+        se = vals.std(ddof=1) / math.sqrt(n)
+        assert abs(vals.mean() - ref) < 4 * se
+
+
+def test_martingale_defect_zero_means_driftless():
+    # lambda_s h_s + c_s = 0 in both regimes: X + J is a P-martingale
+    params = ModelParams(
+        c_plus=0.4, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5,
+        h_plus=-0.2, h_minus=0.2, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=1,
+    )
+    assert martingale_defect(params) == pytest.approx((0.0, 0.0), abs=1e-15)
+    n = 400_000
+    x, j = _terminal_xj(params, 1.3, n, 23)
+    vals = x + j
+    assert abs(vals.mean()) < 4 * vals.std(ddof=1) / math.sqrt(n)

@@ -13,8 +13,10 @@ from telegraph_market.model import (
     linear_transform_coeffs,
     log_kappa_sequence,
     path_rng,
+    path_state,
     regime_at,
     sample_path,
+    sample_switch_times,
     stock_price,
     switch_count,
     telegraph_value,
@@ -50,6 +52,31 @@ def test_sample_path_reproducible(asym_params):
     assert p1 == p2
     assert all(0 < t < 2.0 for t in p1.switch_times)
     assert list(p1.switch_times) == sorted(p1.switch_times)
+
+
+def test_sample_switch_times_carries_one_stream_across_chunks():
+    # ~30 switches per path at lambda T ~ 30: several chunks per column
+    times = sample_switch_times(+1, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=64)
+    rows = times.shape[0]
+    # whole chunks of 16 rows, the last one needed by some column
+    assert rows > 16 and rows % 16 == 0
+    assert np.all(times[-1] > 3.0) and np.any(times[rows - 17] <= 3.0)
+    rates = np.where(np.arange(rows) % 2 == 0, 10.0, 9.72)[:, None]
+    one_shot = np.cumsum(
+        path_rng(4, 2).standard_exponential(size=(rows, 64)) / rates, axis=0
+    )
+    assert np.array_equal(times, one_shot)
+
+
+def test_path_state_counts_and_occupation():
+    path = RegimePath(sigma0=-1, switch_times=(0.5, 1.25), horizon=2.0)
+    t = np.array([0.0, 0.3, 0.5, 1.0, 1.25, 2.0])
+    st = path_state(path, t)
+    assert st.n.tolist() == [0, 0, 1, 1, 2, 2]  # right-continuous
+    assert np.allclose(st.occ, [0.0, 0.3, 0.5, 0.5, 0.5, 1.25], rtol=0, atol=1e-15)
+    assert st.regime().tolist() == [-1, -1, +1, +1, -1, -1]
+    with pytest.raises(ValueError):
+        path_state(path, np.array([0.5, 2.5]))
 
 
 def test_regime_and_count():

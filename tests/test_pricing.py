@@ -10,7 +10,6 @@ from telegraph_market.model import ModelParams
 from telegraph_market.pricing import (
     CallSpec,
     P_n,
-    RiskNeutralRates,
     SeriesControls,
     U_n,
     beta_coeff,
@@ -302,6 +301,21 @@ def test_merton_zero_when_unreachable():
     assert merton_price(0.1, 0.05, 0.5, 100.0, 120.0, 1.0) == 0.0
 
 
+def test_merton_deep_in_the_money_branch_two():
+    # h < 0: the min terminal stock 100 e^{0.02} exceeds K = 90 (cutoff
+    # n0 = -1), so the call is the forward S0 - K e^{-rT}
+    c, r, h, strike = 0.02, 0.07, -0.4, 90.0
+    ref = 100.0 - strike * math.exp(-r)
+    got = merton_price(c, r, h, 100.0, strike, 1.0)
+    assert got == pytest.approx(ref, rel=1e-10)
+    params = ModelParams(
+        c_plus=c, c_minus=c, lambda_plus=1.7, lambda_minus=1.7,
+        h_plus=-h, h_minus=-h, r_plus=r, r_minus=r, s0=100.0, sigma0=1,
+    )
+    series = call_price(params, CallSpec(strike=strike, maturity=1.0), CTRL).price
+    assert got == pytest.approx(series, rel=1e-10)
+
+
 def test_symmetric_family_price_check():
     lam, c, r, h = 2.0, 0.4, 0.05, 0.35
     params = ModelParams(
@@ -350,12 +364,3 @@ def test_european_price_F_matches_series_call(asym_params):
         asym_params, CTRL, payoff_breaks=(spec.strike,),
     )
     assert got == pytest.approx(ref, rel=1e-12)
-
-
-def test_risk_neutral_rates_linearization(asym_params):
-    intens = martingale_intensities(asym_params)
-    rr = RiskNeutralRates.from_params(asym_params, intens)
-    dc = asym_params.c_plus - asym_params.c_minus
-    assert rr.a_r == pytest.approx((asym_params.r_plus - asym_params.r_minus) / dc)
-    assert rr.a_r * asym_params.c_plus + rr.b_r == pytest.approx(asym_params.r_plus)
-    assert rr.a_r * asym_params.c_minus + rr.b_r == pytest.approx(asym_params.r_minus)
