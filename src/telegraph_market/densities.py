@@ -75,14 +75,24 @@ def _log_power(exponent: np.ndarray | int, log_base: np.ndarray) -> np.ndarray:
     return np.where(e > 0, e * log_base, 0.0)
 
 
-def q_n(
+def log_q_n(
     x: np.ndarray | float,
     t: float,
-    n: int,
+    n: np.ndarray | int,
     sigma: Regime,
     params: DensityParams,
-) -> np.ndarray | float:
-    """Polynomial kernel of the n-switch density, zero outside (c_- t, c_+ t).
+) -> np.ndarray:
+    """log of the polynomial kernel q_n on the open support (c_- t, c_+ t).
+
+    Vectorized over integer switch counts n >= 1, which broadcast against x
+    (an (N, 1) column of counts against (N, Q) nodes gives one row per n):
+
+        q_n = lambda_s^{ceil(n/2)} lambda_{-s}^{floor(n/2)} / (c_+ - c_-)^n
+              * (c_+ t - x)^{e_a} (x - c_- t)^{e_b} / (e_a! e_b!),
+
+    with (e_a, e_b) = ((n-1)//2, n//2) for sigma = +1 and swapped for
+    sigma = -1. Outside the open support the logarithms are -inf or nan;
+    callers mask there.
 
     The two odd-order lines share one printed superscript in the source
     formulas; the lambda_+^{n+1} lambda_-^n line is assigned to sigma = +1,
@@ -91,43 +101,61 @@ def q_n(
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("q_n is defined for n >= 1; n = 0 is the caller's atom")
     x = np.asarray(x, dtype=float)
-    dc = params.delta_c
-    lo, hi = params.c_minus * t, params.c_plus * t
-    inside = (x > lo) & (x < hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.log(hi - x)  # log(c_+ t - x)
-        lb = np.log(x - lo)  # log(x - c_- t)
-    lp, lm = math.log(params.lambda_plus), math.log(params.lambda_minus)
-    ldc = math.log(dc)
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        if sigma == +1:
-            lam_part = (m + 1) * lp + m * lm
-        else:
-            lam_part = m * lp + (m + 1) * lm
-        logq = (
-            lam_part
-            - n * ldc
-            + _log_power(m, la)
-            + _log_power(m, lb)
-            - 2.0 * gammaln(m + 1)
-        )
-    else:
-        m = n // 2
-        ea, eb = (m - 1, m) if sigma == +1 else (m, m - 1)
-        logq = (
-            m * (lp + lm)
-            - n * ldc
-            + _log_power(ea, la)
-            + _log_power(eb, lb)
-            - gammaln(m)
-            - gammaln(m + 1)
-        )
+        la = np.log(params.c_plus * t - x)  # log(c_+ t - x)
+        lb = np.log(x - params.c_minus * t)  # log(x - c_- t)
+    l_own = math.log(params.lam(sigma))
+    l_other = math.log(params.lam(-sigma))
+    lo_half, hi_half = (n - 1) // 2, n // 2
+    ea, eb = (lo_half, hi_half) if sigma == +1 else (hi_half, lo_half)
+    return (
+        (n + 1) // 2 * l_own
+        + n // 2 * l_other
+        - n * math.log(params.delta_c)
+        + _log_power(ea, la)
+        + _log_power(eb, lb)
+        - gammaln(ea + 1)
+        - gammaln(eb + 1)
+    )
+
+
+def q_n(
+    x: np.ndarray | float,
+    t: float,
+    n: int,
+    sigma: Regime,
+    params: DensityParams,
+) -> np.ndarray | float:
+    """Polynomial kernel of the n-switch density, zero outside (c_- t, c_+ t)."""
+    x = np.asarray(x, dtype=float)
+    logq = log_q_n(x, t, n, sigma, params)
+    inside = (x > params.c_minus * t) & (x < params.c_plus * t)
     out = np.where(inside, np.exp(logq), 0.0)
     return out if out.ndim else float(out)
+
+
+def log_p_n_continuous(
+    x: np.ndarray | float,
+    t: float,
+    n: np.ndarray | int,
+    sigma: Regime,
+    params: DensityParams,
+) -> np.ndarray:
+    """log of the continuous n-switch density on the open support,
+    vectorized over n as in ``log_q_n``."""
+    return _density_exponent(x, t, sigma, params) + log_q_n(x, t, n, sigma, params)
+
+
+def _density_exponent(
+    x: np.ndarray | float, t: float, sigma: Regime, params: DensityParams
+) -> np.ndarray:
+    """Exponential factor (-lambda_s + nu c_s) t - nu x shared by every p_n."""
+    x_arr = np.asarray(x, dtype=float)
+    return (-params.lam(sigma) + params.nu * params.c(sigma)) * t - params.nu * x_arr
 
 
 def p_n_continuous(
@@ -139,7 +167,7 @@ def p_n_continuous(
 ) -> np.ndarray | float:
     """Continuous part of the n-switch density (n >= 1)."""
     x_arr = np.asarray(x, dtype=float)
-    pref = (-params.lam(sigma) + params.nu * params.c(sigma)) * t - params.nu * x_arr
+    pref = _density_exponent(x_arr, t, sigma, params)
     out = np.exp(pref) * q_n(x_arr, t, n, sigma, params)
     return out if np.ndim(x) else float(out)
 

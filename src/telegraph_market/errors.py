@@ -13,5 +13,9 @@ class DivergenceError(TruncationError):
     """A series failed the term-ratio test (terms not decaying)."""
 
 
+class NegativePriceError(TruncationError):
+    """A truncated pricing series summed to a negative price."""
+
+
 class BudgetError(ValueError):
     """A hedging budget is infeasible (non-positive or at least the perfect-hedge price)."""

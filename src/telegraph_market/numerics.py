@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -101,8 +102,20 @@ def poisson_tail_bound(rate_t: float, n: int) -> float:
     return math.exp(log_head) / (1.0 - ratio)
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], solved once per order.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w

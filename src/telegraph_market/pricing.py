@@ -1,10 +1,19 @@
 """Closed-form European option pricing for jump telegraph markets.
 
 The call price is a series over the number of regime switches,
-price = S0 * U - K * u, where each term of u solves a pair of coupled
-first-order transport equations with a combinatorial solution built from
-confluent hypergeometric functions, and U is the same series evaluated at
-tilted intensities. All series carry explicit Poisson-type tail bounds.
+price = S0 * U - K * u, where U is the same series as u evaluated at tilted
+intensities. Each term u_n is the discounted mass of the closed-form n-switch
+density above the kappa-shifted log-strike. Two routes compute the terms:
+
+- ``call_price`` integrates the densities (``densities.log_p_n_continuous``)
+  for every switch count in one array op (``series_terms``);
+- ``call_value_surface`` and the hedge path use the transport route: each
+  term solves a pair of coupled first-order transport equations with a
+  combinatorial solution built from confluent hypergeometric functions
+  (``u_n``, ``v_n``, ``phi_kn``, ``P_n``, ``hyp1f1``). It is also the
+  independent reference the tests compare the integrated terms with.
+
+All series stop on explicit Poisson-type tail bounds.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc
 
-from .densities import DensityParams, p_n_continuous
-from .errors import TruncationError
+from .densities import DensityParams, log_p_n_continuous, p_n_continuous
+from .errors import NegativePriceError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import (
     ModelParams,
@@ -25,7 +34,7 @@ from .model import (
     linear_transform_coeffs,
     log_kappa_sequence,
 )
-from .numerics import gauss_legendre_nodes, poisson_tail_bound
+from .numerics import gauss_legendre_nodes, gauss_legendre_rule, poisson_tail_bound
 
 _HYP_MAX_TERMS = 500
 
@@ -330,6 +339,76 @@ def U_n(
     return u_n(y, t, n, sigma, lam_bar_p, lam_bar_m, c_p, c_m, 0.0, 0.0)
 
 
+def _quad_order(n_max: int, tilt: float) -> int:
+    """Gauss-Legendre nodes per term for switch counts up to n_max.
+
+    On [-1, 1] each integrand is a degree n - 1 polynomial times
+    e^{-alpha s} with |alpha| <= tilt / 2, tilt = |a_bar| t. For large n the
+    polynomial is a bump ~ e^{-n s^2 / 2} whose Legendre coefficients fall
+    off like e^{-j^2 / n}, so Q nodes err by ~ e^{-2 Q^2 / n}: below 1e-15
+    once Q >= 4 sqrt(n). The exponential needs more nodes as the tilt grows.
+    Against 1024 nodes, terms settle to rounding level at 64 nodes for
+    lambda* = 25 per regime at T = 10 (n_max = 395) and at 96 for T = 24
+    (n_max = 842), where 48 nodes err by 6e-9 and 4e-4 S0. The rule adds a
+    margin of 16 nodes and tilt / 3 and rounds up to a multiple of 16.
+    """
+    need = 16.0 + 4.0 * math.sqrt(n_max) + tilt / 3.0
+    return max(32, 16 * math.ceil(need / 16.0))
+
+
+def series_terms(
+    y: np.ndarray,
+    t: float,
+    sigma: Regime,
+    lam_p: float,
+    lam_m: float,
+    c_p: float,
+    c_m: float,
+    r_p: float,
+    r_m: float,
+) -> np.ndarray:
+    """Terms u_n(y_n, t) for n = 0..N, one lower limit y_n per n, from the
+    closed-form switch-count densities in one (N x Q) array op.
+
+    u_n is the discounted density mass e^{-b_r t} int_{y_n}^inf e^{-a_r x}
+    p_n(x, t) dx, where a_r x + b_r t is the accumulated rate integral on
+    the regime path. The n = 0 atom at c_s t contributes e^{-(lam_s + r_s) t}
+    (boundary conventions as in ``u_n``); each n >= 1 takes a Q-node
+    Gauss-Legendre rule on [max(y_n, c_- t), c_+ t], zero where y_n >= c_+ t.
+    Requires c_+ > c_-; y_n = +inf gives a zero term.
+    """
+    check_regime(sigma)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    dens = DensityParams(
+        c_plus=c_p, c_minus=c_m, lambda_plus=lam_p, lambda_minus=lam_m
+    )
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    lo_ray, hi_ray = c_m * t, c_p * t
+    atom_in = y[0] <= hi_ray if sigma == +1 else y[0] < lo_ray
+    if atom_in:
+        lam_s, r_s = (lam_p, r_p) if sigma == +1 else (lam_m, r_m)
+        out[0] = math.exp(-(lam_s + r_s) * t)
+    lo = np.maximum(y[1:], lo_ray)
+    live = np.flatnonzero(lo < hi_ray)
+    if live.size == 0:
+        return out
+    a_r, b_r = linear_transform_coeffs(c_p, c_m, r_p, r_m)
+    a_bar = (lam_p + r_p) - (lam_m + r_m)
+    order = _quad_order(int(live[-1]) + 1, abs(a_bar) * t)
+    x_ref, w_ref = gauss_legendre_rule(order)
+    half = 0.5 * (hi_ray - lo[live])
+    nodes = (0.5 * (hi_ray + lo[live]))[:, None] + half[:, None] * x_ref
+    log_f = (
+        log_p_n_continuous(nodes, t, live[:, None] + 1, sigma, dens)
+        - a_r * nodes
+        - b_r * t
+    )
+    out[live + 1] = half * (np.exp(log_f) @ w_ref)
+    return out
+
+
 @dataclass
 class _SeriesResult:
     u: np.ndarray | float
@@ -338,6 +417,47 @@ class _SeriesResult:
     U_terms: list = field(default_factory=list)
     tail_bound: float = 0.0
     n_used: int = 0
+
+
+def tilted_intensities(
+    params: ModelParams, lam_p: float, lam_m: float
+) -> tuple[float, float]:
+    """Stock-tilted intensities lambda_pm (1 + h_pm) of the U series."""
+    lbp = lam_p * (1.0 + params.h_plus)
+    lbm = lam_m * (1.0 + params.h_minus)
+    if lbp <= 0 or lbm <= 0:
+        raise ValueError("tilted intensities must be positive")
+    return lbp, lbm
+
+
+def _series_length(
+    t_min: float,
+    t_max: float,
+    params: ModelParams,
+    intens: MartingaleIntensities,
+    controls: SeriesControls,
+    weight_u: float,
+    weight_U: float,
+) -> tuple[int, float]:
+    """Last switch count n of the u and U series and the tail bound there.
+
+    The series stop at the first n where weight_u * tail(u) +
+    weight_U * tail(U) falls below tail_epsilon, with Poisson-type tail
+    bounds at the larger intensity; the bounds do not depend on the terms.
+    Raises TruncationError on budget exhaustion.
+    """
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    lbp, lbm = tilted_intensities(params, lsp, lsm)
+    r_min = min(params.r_plus, params.r_minus)
+    u_mass = math.exp(-(r_min + min(lsp, lsm)) * t_min)
+    U_mass = math.exp(-min(lbp, lbm) * t_min)
+    for n in range(controls.max_terms + 1):
+        tail = weight_u * u_mass * poisson_tail_bound(
+            max(lsp, lsm) * t_max, n
+        ) + weight_U * U_mass * poisson_tail_bound(max(lbp, lbm) * t_max, n)
+        if tail < controls.tail_epsilon:
+            return n, tail
+    raise TruncationError("pricing series exceeded the term budget")
 
 
 def call_u_U(
@@ -351,32 +471,28 @@ def call_u_U(
     weight_U: float,
     keep_terms: bool = True,
 ) -> _SeriesResult:
-    """Accumulate the u and U series at kappa-shifted arguments y - b_n.
+    """Accumulate the u and U series at kappa-shifted arguments y - b_n by
+    the transport route (``u_n``, ``U_n``) on arrays of points.
 
-    Terms are summed in ascending n with pairwise reduction; the loop stops
-    when weight_u * tail(u) + weight_U * tail(U) falls below tail_epsilon,
-    with Poisson-type tail bounds. Raises TruncationError on budget exhaustion.
-    With keep_terms=False only running sums are kept (large-array callers).
+    Terms are summed in ascending n up to the stopping index of
+    ``_series_length``. With keep_terms=False only running sums are kept
+    (large-array callers).
     """
     check_regime(sigma)
-    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-    lbp = lsp * (1.0 + params.h_plus)
-    lbm = lsm * (1.0 + params.h_minus)
-    if lbp <= 0 or lbm <= 0:
-        raise ValueError("tilted intensities must be positive")
-    b = log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
     t_arr = np.asarray(t, dtype=float)
-    t_min, t_max = float(np.min(t_arr)), float(np.max(t_arr))
-    r_min = min(params.r_plus, params.r_minus)
-    u_mass = math.exp(-(r_min + min(lsp, lsm)) * t_min)
-    U_mass = math.exp(-min(lbp, lbm) * t_min)
+    n_used, tail = _series_length(
+        float(np.min(t_arr)), float(np.max(t_arr)), params, intens, controls,
+        weight_u, weight_U,
+    )
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
     cp, cm = params.c_plus, params.c_minus
     rp, rm = params.r_plus, params.r_minus
 
     u_terms: list = []
     U_terms: list = []
     u_run = U_run = 0.0
-    for n in range(controls.max_terms + 1):
+    for n in range(n_used + 1):
         y_n = np.asarray(y, dtype=float) - b[n]
         u_term = u_n(y_n, t, n, sigma, lsp, lsm, cp, cm, rp, rm)
         U_term = U_n(y_n, t, n, sigma, lsp, lsm, cp, cm, rp, rm,
@@ -387,26 +503,21 @@ def call_u_U(
         else:
             u_run = u_run + u_term
             U_run = U_run + U_term
-        tail = weight_u * u_mass * poisson_tail_bound(
-            max(lsp, lsm) * t_max, n
-        ) + weight_U * U_mass * poisson_tail_bound(max(lbp, lbm) * t_max, n)
-        if tail < controls.tail_epsilon:
-            if keep_terms:
-                u_total = np.sum(np.asarray(u_terms), axis=0)
-                U_total = np.sum(np.asarray(U_terms), axis=0)
-            else:
-                u_total, U_total = u_run, U_run
-            if np.ndim(y) == 0 and np.ndim(t) == 0:
-                u_total, U_total = float(u_total), float(U_total)
-            return _SeriesResult(
-                u=u_total,
-                U=U_total,
-                u_terms=u_terms,
-                U_terms=U_terms,
-                tail_bound=tail,
-                n_used=n,
-            )
-    raise TruncationError("pricing series exceeded the term budget")
+    if keep_terms:
+        u_total = np.sum(np.asarray(u_terms), axis=0)
+        U_total = np.sum(np.asarray(U_terms), axis=0)
+    else:
+        u_total, U_total = u_run, U_run
+    if np.ndim(y) == 0 and np.ndim(t) == 0:
+        u_total, U_total = float(u_total), float(U_total)
+    return _SeriesResult(
+        u=u_total,
+        U=U_total,
+        u_terms=u_terms,
+        U_terms=U_terms,
+        tail_bound=tail,
+        n_used=n_used,
+    )
 
 
 def call_price(
@@ -414,29 +525,48 @@ def call_price(
     spec: CallSpec,
     controls: SeriesControls = SeriesControls(),
 ) -> PriceBreakdown:
-    """European call price S0 * U - K * u with the per-term breakdown."""
+    """European call price S0 * U - K * u with the per-term breakdown.
+
+    The terms integrate the closed-form switch-count densities
+    (``series_terms``), u at the martingale intensities and U at the tilted
+    ones; the c_+ = c_- market, which has no continuous density, sums its
+    full-mass terms through ``call_u_U``.
+    """
     intens = martingale_intensities(params)
     y = math.log(spec.strike / params.s0)
-    res = call_u_U(
-        y,
-        spec.maturity,
-        params.sigma0,
-        params,
-        intens,
-        controls,
-        weight_u=spec.strike,
-        weight_U=params.s0,
-    )
-    price = params.s0 * res.U - spec.strike * res.u
+    T = spec.maturity
+    sigma = params.sigma0
+    cp, cm = params.c_plus, params.c_minus
+    if cp == cm:
+        res = call_u_U(
+            y, T, sigma, params, intens, controls,
+            weight_u=spec.strike, weight_U=params.s0,
+        )
+        n_used, tail = res.n_used, res.tail_bound
+        shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
+        u_terms = np.asarray(res.u_terms, dtype=float)
+        U_terms = np.asarray(res.U_terms, dtype=float)
+    else:
+        n_used, tail = _series_length(
+            T, T, params, intens, controls, weight_u=spec.strike, weight_U=params.s0
+        )
+        shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
+        lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+        u_terms = series_terms(
+            shifted, T, sigma, lsp, lsm, cp, cm, params.r_plus, params.r_minus
+        )
+        lbp, lbm = tilted_intensities(params, lsp, lsm)
+        U_terms = series_terms(shifted, T, sigma, lbp, lbm, cp, cm, 0.0, 0.0)
+    u = float(np.sum(u_terms))
+    U = float(np.sum(U_terms))
+    price = params.s0 * U - spec.strike * u
     if price < -1e-9 * params.s0:
-        raise RuntimeError(f"negative price {price}; series inconsistency")
+        raise NegativePriceError(f"negative price {price}; series inconsistency")
     price = max(price, 0.0)
 
     prod = (1.0 + params.h_plus) * (1.0 + params.h_minus)
-    b = log_kappa_sequence(res.n_used, params.sigma0, params.h_plus, params.h_minus)
-    shifted = y - b
-    above_slow = shifted > params.c_minus * spec.maturity
-    above_fast = shifted > params.c_plus * spec.maturity
+    above_slow = shifted > params.c_minus * T
+    above_fast = shifted > params.c_plus * T
     idx_minus = idx_plus = None
     if prod < 1.0:
         regime_case = "contracting"
@@ -447,23 +577,23 @@ def call_price(
     elif prod > 1.0:
         regime_case = "expanding"
         if np.any(above_slow):
-            idx_minus = int(res.n_used - np.argmax(above_slow[::-1]))
+            idx_minus = int(n_used - np.argmax(above_slow[::-1]))
         if np.any(above_fast):
-            idx_plus = int(res.n_used - np.argmax(above_fast[::-1]))
+            idx_plus = int(n_used - np.argmax(above_fast[::-1]))
     else:
         regime_case = "boundary"
     return PriceBreakdown(
         y=y,
-        u_terms=np.asarray(res.u_terms, dtype=float),
-        U_terms=np.asarray(res.U_terms, dtype=float),
-        u=res.u,
-        U=res.U,
+        u_terms=u_terms,
+        U_terms=U_terms,
+        u=u,
+        U=U,
         price=price,
-        tail_bound=res.tail_bound,
+        tail_bound=tail,
         regime_case=regime_case,
         idx_minus=idx_minus,
         idx_plus=idx_plus,
-        n_used=res.n_used,
+        n_used=n_used,
     )
 
 
@@ -564,7 +694,11 @@ def symmetric_price_check(
 ) -> float:
     """Call price for the symmetric family lam+ = lam-, r+ = r-, c_pm = r +- c,
     h_pm = -+h with 0 < h < 1, computed through the explicit binomial form
-    of the wedge kernels (an independent route from the general series).
+    of the wedge kernels.
+
+    Both halves are independent of ``call_price``, which integrates the
+    densities: u comes from the binomial form and U from the transport
+    route (``call_u_U``).
     """
     lam = params.lambda_plus
     r = params.r_plus

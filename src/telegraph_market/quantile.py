@@ -18,7 +18,13 @@ from .errors import BudgetError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import ModelParams, kappa, linear_transform_coeffs, log_kappa_sequence
 from .numerics import bisect_root, expand_bracket_down, expand_bracket_up, poisson_tail_bound
-from .pricing import CallSpec, SeriesControls, call_price, u_n
+from .pricing import (
+    CallSpec,
+    SeriesControls,
+    call_price,
+    series_terms,
+    tilted_intensities,
+)
 
 Threshold = None | float | tuple[float, float]
 
@@ -177,29 +183,30 @@ def _excluded_value(
     gives the physical probability mass.
     """
     sig = params.sigma0
-    T = maturity
-    s0 = params.s0
     cp, cm = params.c_plus, params.c_minus
-    lbp = lam_p * (1.0 + params.h_plus)
-    lbm = lam_m * (1.0 + params.h_minus)
+    lbp, lbm = tilted_intensities(params, lam_p, lam_m)
 
-    def tail_value(n: int, y_x: float) -> float:
-        """Contribution of {X(T) > y_x, N = n} (thresholds are X-space values,
-        which is exactly the argument convention of u_n)."""
-        u_val = u_n(y_x, T, n, sig, lam_p, lam_m, cp, cm, r_p, r_m)
+    def tail_value(y_x: np.ndarray) -> float:
+        """Mass of {X(T) > y_x[n], N = n} summed over n (thresholds are
+        X-space values, which is exactly the argument convention of u_n)."""
+        u_val = np.sum(series_terms(y_x, maturity, sig, lam_p, lam_m, cp, cm, r_p, r_m))
         if not capital_weights:
-            return u_val
-        u_big = u_n(y_x, T, n, sig, lbp, lbm, cp, cm, 0.0, 0.0)
-        return s0 * u_big - strike * u_val
+            return float(u_val)
+        u_big = np.sum(series_terms(y_x, maturity, sig, lbp, lbm, cp, cm, 0.0, 0.0))
+        return float(params.s0 * u_big - strike * u_val)
 
-    total = 0.0
-    for n, thr in enumerate(thresholds):
-        if thr is None:
-            continue
-        if isinstance(thr, tuple):
-            total += tail_value(n, thr[0]) - tail_value(n, thr[1])
-        else:
-            total += tail_value(n, thr)
+    # slice n loses its mass above y1 minus its mass above y2: y2 = +inf for
+    # a single threshold, and y1 = y2 = +inf for a fully included slice
+    bands = [
+        (np.inf, np.inf) if thr is None
+        else thr if isinstance(thr, tuple)
+        else (thr, np.inf)
+        for thr in thresholds
+    ]
+    first, second = np.array(bands, dtype=float).T
+    total = tail_value(first)
+    if np.any(np.isfinite(second)):
+        total -= tail_value(second)
     return total
 
 

@@ -30,6 +30,7 @@ from telegraph_market.pricing import (
     call_price,
     merton_price,
     phi_kn,
+    series_terms,
     symmetric_price_check,
     u_n,
     v_n,
@@ -107,6 +108,9 @@ def test_criterion_02_series_terms_vs_quadrature():
         dict(c_p=1.0, c_m=-1.0, r_p=0.12, r_m=0.01, h_p=-0.4, h_m=0.8),
     ]
     worst = 0.0
+    # the batched terms integrate the same densities, so they are checked
+    # against the transport route (u_n, U_n), not against the quadrature
+    worst_batched = 0.0
     t = 1.1
     for s in sets:
         lam_p = (s["r_p"] - s["c_p"]) / s["h_p"]
@@ -114,22 +118,33 @@ def test_criterion_02_series_terms_vs_quadrature():
         assert lam_p > 0 and lam_m > 0
         base = dict(lam_p=lam_p, lam_m=lam_m, c_p=s["c_p"], c_m=s["c_m"],
                     r_p=s["r_p"], r_m=s["r_m"])
+        tilted = dict(lam_p=lam_p * (1.0 + s["h_p"]), lam_m=lam_m * (1.0 + s["h_m"]),
+                      c_p=s["c_p"], c_m=s["c_m"], r_p=0.0, r_m=0.0)
         ys = (s["c_m"] * t - 0.3,                 # below the slow ray
               0.5 * (s["c_m"] + s["c_p"]) * t,    # inside the wedge
               s["c_p"] * t + 0.2)                 # above the fast ray
         for sigma in (+1, -1):
-            for n in range(11):
-                for y in ys:
+            for y in ys:
+                batched_u = series_terms(np.full(11, y), t, sigma, **base)
+                batched_U = series_terms(np.full(11, y), t, sigma, **tilted)
+                for n in range(11):
                     a = u_n(y, t, n, sigma, **base)
                     b = u_n_quadrature(y, t, n, sigma, **base)
                     worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
+                    worst_batched = max(
+                        worst_batched, abs(batched_u[n] - a) / max(abs(a), 1e-12)
+                    )
                     a = U_n(y, t, n, sigma, **base, h_p=s["h_p"], h_m=s["h_m"])
                     b = U_n_quadrature(y, t, n, sigma, **base,
                                        h_p=s["h_p"], h_m=s["h_m"])
                     worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
+                    worst_batched = max(
+                        worst_batched, abs(batched_U[n] - a) / max(abs(a), 1e-12)
+                    )
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 60.0
-    _report(2, ok, f"worst rel err {worst:.2e} (<= 1e-8), {elapsed:.1f}s (< 60 s)")
+    ok = worst <= 1e-8 and worst_batched <= 1e-8 and elapsed < 60.0
+    _report(2, ok, f"worst rel err {worst:.2e} (<= 1e-8), batched vs transport "
+                   f"{worst_batched:.2e} (<= 1e-8), {elapsed:.1f}s (< 60 s)")
     assert ok
 
 

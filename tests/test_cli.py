@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import telegraph_market
+import telegraph_market.pricing as pricing
 from telegraph_market.cli import main, parse_config
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
@@ -140,6 +141,24 @@ def test_price_arbitrage_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_price_negative_price_exit_code(cfg, capsys, monkeypatch):
+    # force an inconsistent series (stock-tilted terms zeroed, so
+    # S0 U - K u < 0): a typed error, exit 3 with the message, no traceback
+    real = pricing.series_terms
+
+    def no_stock_terms(y, t, sigma, lam_p, lam_m, c_p, c_m, r_p, r_m):
+        terms = real(y, t, sigma, lam_p, lam_m, c_p, c_m, r_p, r_m)
+        return terms if (r_p, r_m) != (0.0, 0.0) else 0.0 * terms
+
+    monkeypatch.setattr(pricing, "series_terms", no_stock_terms)
+    code = main(["price", "--config", cfg, "--strike", "100", "--maturity", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure: negative price" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exit_code(capsys):

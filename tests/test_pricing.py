@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import telegraph_market.pricing as pricing
 from telegraph_market.errors import TruncationError
 from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import ModelParams
@@ -22,6 +23,7 @@ from telegraph_market.pricing import (
     phi_kn,
     pochhammer,
     rho_n,
+    series_terms,
     symmetric_price_check,
     u_n,
     v_n,
@@ -189,6 +191,87 @@ def test_u_0_jumps_by_the_atom():
     atom = math.exp(-(ps["lam_p"] + ps["r_p"]) * t)
     assert above == 0.0
     assert below == pytest.approx(atom, rel=1e-9)
+
+
+def test_series_terms_mixed_lower_limits():
+    # one call whose per-n lower limits fall above the fast ray, in the wedge
+    # and below the slow ray (and at +inf) matches the transport route n by n
+    ps = PARAM_SETS[0]
+    t = 1.3
+    lo, hi = ps["c_m"] * t, ps["c_p"] * t
+    y = np.array([
+        lo - 0.1,                 # n = 0 below the slow ray: the atom
+        hi + 0.05,                # above the fast ray: zero
+        0.3 * lo + 0.7 * hi,      # wedge
+        lo - 0.4,                 # below the slow ray: the full mass
+        np.inf,                   # excluded slice
+        0.5 * (lo + hi),          # wedge
+        hi,                       # on the fast ray: zero
+        lo,                       # on the slow ray: the full mass
+        0.9 * lo + 0.1 * hi,      # wedge
+    ])
+    for sigma in (+1, -1):
+        got = series_terms(y, t, sigma, **ps)
+        assert got.shape == y.shape
+        for n, y_n in enumerate(y):
+            ref = 0.0 if np.isinf(y_n) else u_n(y_n, t, n, sigma, **ps)
+            assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert got[1] == 0.0 and got[4] == 0.0 and got[6] == 0.0
+        assert got[3] == pytest.approx(
+            rho_n(t, 3, sigma, ps["lam_p"], ps["lam_m"], ps["r_p"], ps["r_m"]),
+            rel=1e-12,
+        )
+
+
+def test_series_terms_atom_boundaries():
+    # the n = 0 atom follows u_n's region dispatch at both rays
+    ps = PARAM_SETS[0]
+    t = 1.0
+    lo, hi = ps["c_m"] * t, ps["c_p"] * t
+    for sigma in (+1, -1):
+        for y0 in (lo - 1e-12, lo, 0.5 * (lo + hi), hi, hi + 1e-12):
+            got = series_terms(np.array([y0]), t, sigma, **ps)[0]
+            assert got == pytest.approx(u_n(y0, t, 0, sigma, **ps), rel=1e-13)
+
+
+# the steep market: lambda* = (20, 1), c = (0.45, -0.05), so the density
+# tilt nu (c_+ - c_-) t is 95 at T = 5 and 190 at T = 10
+STEEP = ModelParams(
+    c_plus=0.45, c_minus=-0.05, lambda_plus=2.0, lambda_minus=1.5,
+    h_plus=-0.02, h_minus=0.1, r_plus=0.05, r_minus=0.05,
+    s0=100.0, sigma0=1,
+)
+
+
+# lambda* = 25 per regime: at T = 10 the dominant switch counts (n ~ 250)
+# carry their full mass below the slow ray for a deep-in-the-money strike,
+# so the terms are whole bumps of relative width ~ 1 / sqrt(n)
+BUSY = ModelParams(
+    c_plus=0.3, c_minus=-0.2, lambda_plus=2.0, lambda_minus=2.0,
+    h_plus=-0.01, h_minus=0.01, r_plus=0.05, r_minus=0.05,
+    s0=100.0, sigma0=1,
+)
+
+
+@pytest.mark.parametrize("sigma0", [+1, -1])
+@pytest.mark.parametrize(
+    "market, strike, maturity, max_terms",
+    [(STEEP, 150.0, 5.0, 600), (STEEP, 150.0, 10.0, 600), (BUSY, 10.0, 10.0, 400)],
+    ids=["steep-T5", "steep-T10", "busy-deep-itm"],
+)
+def test_quad_order_rule_converged(
+    monkeypatch, market, strike, maturity, max_terms, sigma0
+):
+    # the price at the chosen number of nodes agrees with four times as many
+    params = replace(market, sigma0=sigma0)
+    spec = CallSpec(strike=strike, maturity=maturity)
+    ctrl = SeriesControls(max_terms=max_terms)
+    chosen = call_price(params, spec, ctrl)
+    rule = pricing._quad_order
+    monkeypatch.setattr(pricing, "_quad_order", lambda n, tilt: 4 * rule(n, tilt))
+    finer = call_price(params, spec, ctrl)
+    assert finer.n_used == chosen.n_used
+    assert abs(chosen.price - finer.price) <= 1e-11 * params.s0
 
 
 # --- assembled call price ----------------------------------------------------

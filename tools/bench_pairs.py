@@ -1,0 +1,120 @@
+"""Run the benchmark on two source trees in alternating pairs and record it.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --parent-commit SHA --change-commit TEXT --out BENCH_<n>.json
+
+Each of ``PAIRS`` pairs runs ``python3 perfbench/run.py --workload W --seed S
+--trace 0`` (default ``--seconds``) once in each tree, with seeds
+``FIRST_SEED``, ``FIRST_SEED + 1``, ..., the order alternating from pair to
+pair, because the speed of a shared machine drifts over minutes. Ten pairs
+is the fewest from which a claimed gain can count. The JSON
+record holds every run, and per workload and end-to-end metric the medians
+and quartile spreads ((q3 - q1) / median) of both trees, the ratio of the
+medians (change / parent) and the number of pairs in which the change was
+better, with the machine's CPU count and the Python, numpy and scipy
+versions. After the pairs, one traced run per tree and workload records the
+per-layer metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median, quantiles
+
+import numpy
+import scipy
+
+WORKLOADS = ("series", "paths")
+PAIRS = 10
+FIRST_SEED = 2001
+
+
+def run_args(workload: str, seed: int | str, trace: int | str) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--trace", str(trace)]
+
+
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    done = subprocess.run(
+        [sys.executable, *run_args(workload, seed, trace)],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    mid = median(values)
+    return {"median": mid, "q1": q1, "q3": q3, "spread": (q3 - q1) / mid}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--change-commit", required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    record = {
+        "command": " ".join(["python3", *run_args("W", "S", 0)]),
+        "parent_commit": args.parent_commit,
+        "change_commit": args.change_commit,
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
+        "pairs": PAIRS,
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        runs = []
+        for i in range(PAIRS):
+            seed = FIRST_SEED + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "order": list(order)}
+            for side in order:
+                tree = args.parent if side == "parent" else args.change
+                pair[side] = run_once(tree, workload, seed)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+            runs.append(pair)
+        metrics = {}
+        for name, direction in better.items():
+            par = [r["parent"]["metrics"][name]["value"] for r in runs]
+            chg = [r["change"]["metrics"][name]["value"] for r in runs]
+            wins = sum((c < p) if direction == "lower" else (c > p)
+                       for p, c in zip(par, chg))
+            metrics[name] = {
+                "better": direction,
+                "parent": summary(par),
+                "change": summary(chg),
+                "ratio_of_medians": median(chg) / median(par),
+                "change_better_in_pairs": wins,
+            }
+        traced = {side: run_once(tree, workload, FIRST_SEED, trace=1)["metrics"]
+                  for side, tree in (("parent", args.parent), ("change", args.change))}
+        record["workloads"][workload] = {
+            "correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+            "failed": {s: sorted({f"{r[s]['failed']}/{r[s]['attempted']}" for r in runs})
+                       for s in ("parent", "change")},
+            "metrics": metrics,
+            "traced": traced,
+            "runs": runs,
+        }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
