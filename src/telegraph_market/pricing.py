@@ -10,8 +10,20 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
 - ``call_value_surface`` and the hedge path use the transport route: each
   term solves a pair of coupled first-order transport equations with a
   combinatorial solution built from confluent hypergeometric functions
-  (``u_n``, ``v_n``, ``phi_kn``, ``P_n``, ``hyp1f1``). It is also the
-  independent reference the tests compare the integrated terms with.
+  (``v_n``, ``phi_kn``, ``P_n``, ``hyp1f1``). ``call_u_U`` evaluates it by
+  region: for each n one split of the points at the rays y = c_- t and
+  y = c_+ t serves u and U. Terms above the fast ray are 0. Below the slow
+  ray a term is the full mass rho_n(t), which depends on t alone, so it is
+  read from a table evaluated once per distinct t of the whole call (the
+  backtest's grid times repeat across paths). Only the wedge between the
+  rays evaluates ``v_n``. On the benchmark's hedge inputs (one round,
+  288 390 points) 86.8% of the (point, n) pairs lie below, 12.3% in the
+  wedge and 0.9% above. The wedge stays on the transport kernels: its 0.81M
+  pairs at 48 Gauss-Legendre nodes would be 39M density evaluations for
+  each of u and U, about 2.6 s each at 67 ns per node, while the kernels
+  take 0.31 s for both (2 vCPU).
+- ``u_n`` / ``U_n`` give single terms through the same region split; they
+  are the per-term reference the tests compare the integrated terms with.
 
 All series stop on explicit Poisson-type tail bounds.
 """
@@ -19,7 +31,8 @@ All series stop on explicit Poisson-type tail bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc
@@ -107,7 +120,7 @@ def hyp1f1(alpha: float, beta: float, z: np.ndarray | float) -> np.ndarray | flo
     for k in range(_HYP_MAX_TERMS):
         term = term * ((alpha + k) / ((beta + k) * (k + 1))) * z_arr
         acc = acc + term
-        if np.all(np.abs(term) <= 1e-16 * np.abs(acc)):
+        if (np.abs(term) <= 1e-16 * np.abs(acc)).all():
             return acc if np.ndim(z) else float(acc)
     raise TruncationError("hyp1f1 series did not converge within the term budget")
 
@@ -124,6 +137,20 @@ def P_n(
     The hypergeometric argument is flipped by the Kummer transform whenever
     a_bar t > 0 so both series branches have nonnegative terms.
     """
+    out = _scaled_P_n(t, n, sigma, a_bar, 0.0)
+    return out if np.ndim(t) else float(out)
+
+
+def _scaled_P_n(
+    t: np.ndarray | float,
+    n: int,
+    sigma: Regime,
+    a_bar: float,
+    log_scale: np.ndarray | float,
+) -> np.ndarray:
+    """e^{log_scale} P_n(t), with log_scale folded into the exponent of the
+    prefactor t^n / n!, so that a large scale times a small kernel neither
+    overflows nor turns into inf * 0."""
     check_regime(sigma)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -137,14 +164,12 @@ def P_n(
     f[pos] = hyp1f1(m + 1, n + 1, z[pos])
     f[~pos] = np.exp(z[~pos]) * hyp1f1(n - m, n + 1, -z[~pos])
     if n == 0:
-        out = f
-    else:
-        safe_t = np.where(t_arr > 0, t_arr, 1.0)
-        pref = np.where(
-            t_arr > 0, np.exp(n * np.log(safe_t) - gammaln(n + 1)), 0.0
-        )
-        out = pref * f
-    return out if np.ndim(t) else float(out)
+        return np.exp(log_scale) * f
+    safe_t = np.where(t_arr > 0, t_arr, 1.0)
+    pref = np.where(
+        t_arr > 0, np.exp(log_scale + n * np.log(safe_t) - gammaln(n + 1)), 0.0
+    )
+    return pref * f
 
 
 def beta_coeff(k: int, j: int) -> float:
@@ -162,19 +187,47 @@ def beta_coeff(k: int, j: int) -> float:
 
 
 def phi_kn(
-    k: int, n: int, p: np.ndarray | float, a_bar: float
+    k: int,
+    n: int,
+    p: np.ndarray | float,
+    a_bar: float,
+    *,
+    cache: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray | float:
-    """Auxiliary kernels phi_{k,n}(p); phi_{0,n} = P_{2n+1}."""
+    """Auxiliary kernels phi_{k,n}(p); phi_{0,n} = P_{2n+1}.
+
+    phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1.
+    ``cache`` maps orders to the kernels P_order^{(-)}(p) already evaluated on
+    the same p; ``v_n`` passes one per call, since its phi sums reuse the
+    kernels of many orders. Raises TruncationError when a coefficient
+    overflows.
+    """
     if k < 0 or k > n:
         raise ValueError("phi_kn requires 0 <= k <= n")
-    if k == 0:
-        return P_n(p, 2 * n + 1, +1, a_bar)
     p_arr = np.asarray(p, dtype=float)
-    acc = np.zeros_like(p_arr)
-    for j in range(k):
-        acc = acc + a_bar ** (k - j - 1) * beta_coeff(k, j) * P_n(
-            p_arr, 2 * n - j, -1, a_bar
-        )
+    if cache is None:
+        cache = {}
+
+    def kernel(order: int) -> np.ndarray:
+        if order not in cache:
+            cache[order] = np.asarray(P_n(p_arr, order, -1, a_bar))
+        return cache[order]
+
+    if k == 0:
+        # odd orders have the same index m in both regimes: P^{(+)} = P^{(-)}
+        acc = kernel(2 * n + 1)
+    else:
+        acc = np.zeros_like(p_arr)
+        try:
+            for j in range(k):
+                acc = acc + a_bar ** (k - j - 1) * beta_coeff(k, j) * kernel(
+                    2 * n - j
+                )
+        except OverflowError:
+            raise TruncationError(
+                f"transport kernel phi_{{{k},{n}}} overflowed; the term budget "
+                "reaches past the range of the transport route"
+            ) from None
     return acc if np.ndim(p) else float(acc)
 
 
@@ -201,41 +254,24 @@ def v_n(
         out = np.exp(-a_bar * p_arr) if sigma == +1 else np.zeros_like(p_arr)
         return float(out) if scalar else out
 
-    # the phi sums reuse P kernels of many orders on the same p; cache them
     cache: dict[int, np.ndarray] = {}
-
-    def p_kernel(order: int) -> np.ndarray:
-        if order not in cache:
-            cache[order] = np.asarray(P_n(p_arr, order, -1, a_bar))
-        return cache[order]
-
-    def phi(k: int, nn: int) -> np.ndarray:
-        if k == 0:
-            return np.asarray(P_n(p_arr, 2 * nn + 1, +1, a_bar))
-        acc_phi = np.zeros_like(p_arr)
-        for j in range(k):
-            acc_phi = acc_phi + a_bar ** (k - j - 1) * beta_coeff(k, j) * p_kernel(
-                2 * nn - j
-            )
-        return acc_phi
-
     acc = np.asarray(P_n(p_arr, n, sigma, a_bar))
     qk = np.ones_like(q_arr)
     if n % 2 == 1:
         m = (n - 1) // 2
         for k in range(1, m + 1):
             qk = qk * q_arr / k
-            acc = acc + qk * phi(k, m)
+            acc = acc + qk * phi_kn(k, m, p_arr, a_bar, cache=cache)
     elif sigma == -1:
         m = n // 2
         for k in range(1, m):
             qk = qk * q_arr / k
-            acc = acc + qk * phi(k + 1, m)
+            acc = acc + qk * phi_kn(k + 1, m, p_arr, a_bar, cache=cache)
     else:
         m = n // 2
         for k in range(1, m + 1):
             qk = qk * q_arr / k
-            acc = acc + qk * phi(k - 1, m - 1)
+            acc = acc + qk * phi_kn(k - 1, m - 1, p_arr, a_bar, cache=cache)
     return float(acc) if scalar else acc
 
 
@@ -255,13 +291,66 @@ def rho_n(
     r_p: float,
     r_m: float,
 ) -> np.ndarray | float:
-    """Full-mass term rho_n = e^{-(lam_- + r_-) t} Lambda_n P_n(t)."""
+    """Full-mass term rho_n = e^{-(lam_- + r_-) t} Lambda_n P_n(t).
+
+    log Lambda_n and the discount enter P_n's prefactor exponent, so large n
+    gives a finite term where Lambda_n alone overflows.
+    """
     a_bar = (lam_p + r_p) - (lam_m + r_m)
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(
-        _log_lambda_n(n, sigma, lam_p, lam_m) - (lam_m + r_m) * t_arr
-    ) * P_n(t_arr, n, sigma, a_bar)
+    out = _scaled_P_n(
+        t_arr, n, sigma, a_bar,
+        _log_lambda_n(n, sigma, lam_p, lam_m) - (lam_m + r_m) * t_arr,
+    )
     return out if np.ndim(t) else float(out)
+
+
+class _Regions(NamedTuple):
+    """Points (y, t) split at the rays y = c_- t and y = c_+ t.
+
+    ``wedge`` indexes the points with c_- t <= y <= c_+ t (rays included),
+    at transport coordinates p = (c_+ t - y) / dc and q = (y - c_- t) / dc;
+    ``below`` indexes the points with y < c_- t. The rest lie above the fast
+    ray, where every term is 0. With c_+ = c_- the wedge is empty and the
+    ray itself counts as below.
+    """
+
+    wedge: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    below: np.ndarray
+
+
+def _regions(y: np.ndarray, t: np.ndarray, c_p: float, c_m: float) -> _Regions:
+    if c_p == c_m:
+        none = np.empty(0)
+        return _Regions(none.astype(np.intp), none, none, np.flatnonzero(y <= c_p * t))
+    dc = c_p - c_m
+    p = (c_p * t - y) / dc
+    q = (y - c_m * t) / dc
+    wedge = np.flatnonzero((p >= 0) & (q >= 0))
+    return _Regions(wedge, p[wedge], q[wedge], np.flatnonzero(q < 0))
+
+
+def _wedge_term(
+    reg: _Regions,
+    n: int,
+    sigma: Regime,
+    lam_p: float,
+    lam_m: float,
+    r_p: float,
+    r_m: float,
+) -> np.ndarray:
+    """u_n at the wedge points of ``reg``: Lambda_n e^{-(lam_+ + r_+) q
+    - (lam_- + r_-) p} v_n(p, q)."""
+    if reg.wedge.size == 0:
+        return np.empty(0)
+    a_bar = (lam_p + r_p) - (lam_m + r_m)
+    return np.exp(
+        _log_lambda_n(n, sigma, lam_p, lam_m)
+        - (lam_p + r_p) * reg.q
+        - (lam_m + r_m) * reg.p
+    ) * v_n(reg.p, reg.q, n, sigma, a_bar)
 
 
 def u_n(
@@ -278,9 +367,9 @@ def u_n(
 ) -> np.ndarray | float:
     """n-switch term of the discounted exercise-probability series.
 
-    Region dispatch: 0 above the fast ray (y > c_+ t), the full-mass value
-    rho_n below the slow ray (y < c_- t), and the wedge kernel in between
-    (boundaries included in the wedge).
+    Region dispatch (``_regions``): 0 above the fast ray (y > c_+ t), the
+    full-mass value rho_n below the slow ray (y < c_- t), and the wedge
+    kernel in between (boundaries included in the wedge).
     """
     check_regime(sigma)
     if lam_p <= 0 or lam_m <= 0:
@@ -291,27 +380,12 @@ def u_n(
     )
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
-    a_bar = (lam_p + r_p) - (lam_m + r_m)
-    log_lam = _log_lambda_n(n, sigma, lam_p, lam_m)
-    out = np.zeros(y_arr.shape)
-    if c_p == c_m:
-        mask = y_arr <= c_p * t_arr
-        out[mask] = np.exp(log_lam - (lam_m + r_m) * t_arr[mask]) * P_n(
-            t_arr[mask], n, sigma, a_bar
-        )
-        return float(out) if scalar else out
-    dc = c_p - c_m
-    p = (c_p * t_arr - y_arr) / dc
-    q = (y_arr - c_m * t_arr) / dc
-    wedge = (p >= 0) & (q >= 0)
-    below = q < 0
-    out[wedge] = np.exp(
-        log_lam - (lam_p + r_p) * q[wedge] - (lam_m + r_m) * p[wedge]
-    ) * v_n(p[wedge], q[wedge], n, sigma, a_bar)
-    out[below] = np.exp(log_lam - (lam_m + r_m) * t_arr[below]) * P_n(
-        t_arr[below], n, sigma, a_bar
-    )
-    return float(out) if scalar else out
+    t_flat = t_arr.ravel()
+    reg = _regions(y_arr.ravel(), t_flat, c_p, c_m)
+    out = np.zeros(t_flat.size)
+    out[reg.wedge] = _wedge_term(reg, n, sigma, lam_p, lam_m, r_p, r_m)
+    out[reg.below] = rho_n(t_flat[reg.below], n, sigma, lam_p, lam_m, r_p, r_m)
+    return float(out[0]) if scalar else out.reshape(y_arr.shape)
 
 
 def U_n(
@@ -413,10 +487,10 @@ def series_terms(
 class _SeriesResult:
     u: np.ndarray | float
     U: np.ndarray | float
-    u_terms: list = field(default_factory=list)
-    U_terms: list = field(default_factory=list)
-    tail_bound: float = 0.0
-    n_used: int = 0
+    u_terms: np.ndarray | None
+    U_terms: np.ndarray | None
+    tail_bound: float
+    n_used: int
 
 
 def tilted_intensities(
@@ -460,6 +534,39 @@ def _series_length(
     raise TruncationError("pricing series exceeded the term budget")
 
 
+class _FullMasses:
+    """Full-mass terms rho_n(s) of the u and U series over the distinct times
+    to maturity s of a set of points.
+
+    Below the slow ray a term depends on s alone, and points share few
+    distinct s (the backtest's grid times repeat across paths), so each row
+    is evaluated once per s. Row n = 0, 1, ... is added when a series first
+    needs it; ``rho_n`` builds every row.
+    """
+
+    def __init__(
+        self,
+        t: np.ndarray,
+        sigma: Regime,
+        params: ModelParams,
+        intens: MartingaleIntensities,
+    ) -> None:
+        lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+        self.times = np.unique(t)
+        self.sigma = sigma
+        self.u_rates = (lsp, lsm, params.r_plus, params.r_minus)
+        self.U_rates = (*tilted_intensities(params, lsp, lsm), 0.0, 0.0)
+        self.u_rows: list[np.ndarray] = []
+        self.U_rows: list[np.ndarray] = []
+
+    def rows(self, n_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Rows n = 0..n_max (at least) of the u and U tables."""
+        for n in range(len(self.u_rows), n_max + 1):
+            self.u_rows.append(rho_n(self.times, n, self.sigma, *self.u_rates))
+            self.U_rows.append(rho_n(self.times, n, self.sigma, *self.U_rates))
+        return self.u_rows, self.U_rows
+
+
 def call_u_U(
     y: np.ndarray | float,
     t: np.ndarray | float,
@@ -470,46 +577,67 @@ def call_u_U(
     weight_u: float,
     weight_U: float,
     keep_terms: bool = True,
+    masses: _FullMasses | None = None,
 ) -> _SeriesResult:
     """Accumulate the u and U series at kappa-shifted arguments y - b_n by
-    the transport route (``u_n``, ``U_n``) on arrays of points.
+    the transport route on arrays of points.
 
     Terms are summed in ascending n up to the stopping index of
-    ``_series_length``. With keep_terms=False only running sums are kept
-    (large-array callers).
+    ``_series_length``. For each n one region split (``_regions``) serves
+    u and U: points below the slow ray read the full-mass tables ``masses``
+    (built here over t's distinct values when not given; a caller that
+    splits a large array passes one table for all its parts), and only the
+    wedge points evaluate the transport kernel ``v_n``. With keep_terms=False
+    only the sums are kept (large-array callers). Raises TruncationError when
+    a sum is not finite.
     """
     check_regime(sigma)
-    t_arr = np.asarray(t, dtype=float)
+    y_arr, t_arr = np.broadcast_arrays(
+        np.asarray(y, dtype=float), np.asarray(t, dtype=float)
+    )
+    y_flat, t_flat = y_arr.ravel(), t_arr.ravel()
+    if np.any(t_flat <= 0):
+        raise ValueError("t must be positive")
     n_used, tail = _series_length(
-        float(np.min(t_arr)), float(np.max(t_arr)), params, intens, controls,
+        float(np.min(t_flat)), float(np.max(t_flat)), params, intens, controls,
         weight_u, weight_U,
     )
-    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    if masses is None:
+        masses = _FullMasses(t_flat, sigma, params, intens)
+    t_pos = np.searchsorted(masses.times, t_flat)  # every t is one of the times
+    u_rows, U_rows = masses.rows(n_used)
     b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
     cp, cm = params.c_plus, params.c_minus
-    rp, rm = params.r_plus, params.r_minus
 
-    u_terms: list = []
-    U_terms: list = []
-    u_run = U_run = 0.0
+    u_sum = np.zeros(t_flat.size)
+    U_sum = np.zeros(t_flat.size)
+    u_terms = np.zeros((n_used + 1, t_flat.size)) if keep_terms else None
+    U_terms = np.zeros((n_used + 1, t_flat.size)) if keep_terms else None
     for n in range(n_used + 1):
-        y_n = np.asarray(y, dtype=float) - b[n]
-        u_term = u_n(y_n, t, n, sigma, lsp, lsm, cp, cm, rp, rm)
-        U_term = U_n(y_n, t, n, sigma, lsp, lsm, cp, cm, rp, rm,
-                     params.h_plus, params.h_minus)
-        if keep_terms:
-            u_terms.append(u_term)
-            U_terms.append(U_term)
-        else:
-            u_run = u_run + u_term
-            U_run = U_run + U_term
+        reg = _regions(y_flat - b[n], t_flat, cp, cm)
+        below_pos = t_pos[reg.below]
+        parts = (
+            (u_sum, u_terms, u_rows[n], masses.u_rates),
+            (U_sum, U_terms, U_rows[n], masses.U_rates),
+        )
+        for total, terms, row, rates in parts:
+            wedge_vals = _wedge_term(reg, n, sigma, *rates)
+            below_vals = row[below_pos]
+            total[reg.wedge] += wedge_vals
+            total[reg.below] += below_vals
+            if terms is not None:
+                terms[n, reg.wedge] = wedge_vals
+                terms[n, reg.below] = below_vals
+    if not (np.isfinite(u_sum).all() and np.isfinite(U_sum).all()):
+        raise TruncationError(f"transport series overflowed within {n_used + 1} terms")
+    shape = y_arr.shape
     if keep_terms:
-        u_total = np.sum(np.asarray(u_terms), axis=0)
-        U_total = np.sum(np.asarray(U_terms), axis=0)
+        u_terms = u_terms.reshape((n_used + 1, *shape))
+        U_terms = U_terms.reshape((n_used + 1, *shape))
+    if shape == ():
+        u_total, U_total = float(u_sum[0]), float(U_sum[0])
     else:
-        u_total, U_total = u_run, U_run
-    if np.ndim(y) == 0 and np.ndim(t) == 0:
-        u_total, U_total = float(u_total), float(U_total)
+        u_total, U_total = u_sum.reshape(shape), U_sum.reshape(shape)
     return _SeriesResult(
         u=u_total,
         U=U_total,
@@ -629,10 +757,13 @@ def call_value_surface(
         x_flat = x_arr.ravel()[live]
         s_flat = s.ravel()[live]
         vals = np.empty(live.size)
-        # each series term holds ~20 temporaries of a chunk's size (the v_n
-        # kernel cache among them); 256 KB arrays keep that working set small
-        # enough for the allocator to reuse heap memory instead of returning
-        # it to the OS and faulting it back in on every term
+        masses = _FullMasses(s_flat, sigma, params, intens)
+        # one full-mass table serves every chunk. Each series term makes a
+        # dozen temporaries of a chunk's size (the region split, the gathered
+        # masses, the v_n kernel cache of the wedge points); 256 KB arrays
+        # keep that working set small enough for the allocator to reuse heap
+        # memory instead of returning it to the OS and faulting it back in
+        # on every term
         chunk = 1 << 15
         for i in range(0, live.size, chunk):
             xc = x_flat[i : i + chunk]
@@ -647,6 +778,7 @@ def call_value_surface(
                 weight_u=spec.strike,
                 weight_U=float(np.max(xc)),
                 keep_terms=False,
+                masses=masses,
             )
             vals[i : i + chunk] = xc * res.U - spec.strike * res.u
         out.ravel()[live] = vals
@@ -794,13 +926,10 @@ def european_price_F(
                 "degenerate velocities with distinct rates are not supported"
             )
         # deterministic log-price drift; only the switch count is random
-        a_bar = lsp - lsm
         acc = 0.0
         grow = math.exp(c_sig * s)
         for n in range(controls.max_terms + 1):
-            mass = math.exp(
-                _log_lambda_n(n, sigma, lsp, lsm) - lsm * s
-            ) * P_n(s, n, sigma, a_bar)
+            mass = rho_n(s, n, sigma, lsp, lsm, 0.0, 0.0)
             acc += mass * float(payoff(x * grow * kap[n]))
             if poisson_tail_bound(max(lsp, lsm) * s, n) < controls.tail_epsilon:
                 return math.exp(-r_sig * s) * acc

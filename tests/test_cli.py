@@ -238,6 +238,57 @@ def test_hedge_report(cfg, capsys):
     assert isinstance(doc["admissible"], bool)
 
 
+STEEP = """\
+# steep market: lambda* = (20, 1); a ten-year hedge needs 561 series terms
+c_plus = 0.45
+c_minus = -0.05
+lambda_plus = 2.0
+lambda_minus = 1.0
+h_plus = -0.02
+h_minus = 0.1
+r_plus = 0.05
+r_minus = 0.05
+s0 = 100.0
+sigma0 = +1
+max_terms = 600
+"""
+
+
+def test_hedge_steep_market_many_terms(tmp_path, capsys):
+    # the surface's full-mass rows pass Lambda_n's float range here; they
+    # are finite, and the hedge completes
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(STEEP)
+    code = main(["hedge", "--config", str(cfg), "--strike", "150",
+                 "--maturity", "10", "--paths", "1", "--grid", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    params, controls = parse_config(STEEP)
+    ref = call_price(params, CallSpec(150.0, 10.0), controls).price
+    assert doc["initial_capital"] == ref
+    assert math.isfinite(doc["mean_abs_error"])
+    assert math.isfinite(doc["min_capital"])
+
+
+def test_hedge_kernel_overflow_exit_code(cfg, capsys, monkeypatch):
+    # a transport coefficient out of the float range (a_bar^k overflows on
+    # steep markets once wedge points reach k ~ 240): a typed error, exit 3
+    # with the message, no traceback
+    def out_of_range(k, j):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(pricing, "beta_coeff", out_of_range)
+    code = main(["hedge", "--config", cfg, "--strike", "100", "--maturity", "1",
+                 "--paths", "2", "--grid", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure: transport kernel" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # --- quantile ---------------------------------------------------------------------
 
 def test_quantile_budget_report(cfg_minus, capsys):

@@ -7,7 +7,7 @@ import pytest
 import telegraph_market.pricing as pricing
 from telegraph_market.errors import TruncationError
 from telegraph_market.measure import martingale_intensities
-from telegraph_market.model import ModelParams
+from telegraph_market.model import ModelParams, log_kappa_sequence
 from telegraph_market.pricing import (
     CallSpec,
     P_n,
@@ -127,6 +127,46 @@ def test_v_system_pde():
     for m in range(1, 5):
         fd = (v_n(p, step, 2 * m + 1, +1, ab) - v_n(p, 0.0, 2 * m + 1, +1, ab)) / step
         assert fd == pytest.approx(phi_kn(1, m, p, ab), rel=1e-4)
+
+
+def test_phi_kn_shares_the_kernel_cache():
+    # v_n passes one P-kernel cache to every phi_kn call; cached and fresh
+    # values agree bit for bit, and phi_{0,n} reads the odd order 2n + 1
+    ab, p = 0.6, np.array([0.3, 1.2])
+    cache = {}
+    for k, n in ((0, 3), (2, 3), (3, 4), (1, 1)):
+        np.testing.assert_array_equal(
+            phi_kn(k, n, p, ab, cache=cache), phi_kn(k, n, p, ab)
+        )
+    assert sorted(cache) == [2, 5, 6, 7, 8]
+
+
+def test_transport_kernel_overflow_is_typed():
+    # a_bar^{k-j-1} leaves the float range for a_bar = 1e9 once k - j - 1 >= 35
+    with pytest.raises(TruncationError, match="overflowed"):
+        phi_kn(40, 40, 1e-9, 1e9)
+    with pytest.raises(TruncationError, match="overflowed"):
+        v_n(1e-9, 0.2, 81, +1, 1e9)
+
+
+@pytest.mark.parametrize("n", [300, 301])
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_rho_n_where_lambda_n_overflows(n, sigma):
+    # Lambda_n ~ e^856 overflows on its own; the term itself is ~1e-2
+    mp = pytest.importorskip("mpmath")
+    lam_p, lam_m, r, t = 20.0, 15.0, 0.05, 17.0
+    with np.errstate(over="raise", invalid="raise"):
+        got = rho_n(t, n, sigma, lam_p, lam_m, r, r)
+    lam_s, lam_o = (lam_p, lam_m) if sigma == +1 else (lam_m, lam_p)
+    m = n // 2 if sigma == +1 else (n - 1) // 2
+    with mp.workdps(30):
+        ref = float(
+            mp.exp(-(lam_m + r) * t)
+            * mp.mpf(lam_s) ** (n - n // 2) * mp.mpf(lam_o) ** (n // 2)
+            * mp.mpf(t) ** n / mp.factorial(n)
+            * mp.hyp1f1(m + 1, n + 1, -(lam_p - lam_m) * t)
+        )
+    assert got == pytest.approx(ref, rel=1e-11)
 
 
 # --- series terms against quadrature oracles --------------------------------
@@ -335,18 +375,121 @@ def test_call_price_truncation_budget(asym_params):
         )
 
 
+# markets whose rays pass through y = 0 for n = 0, so x = K lies exactly on
+# the slow ray, on the fast ray, or on the single ray of the c_+ = c_- market
+_RAY_MARKETS = {
+    "slow ray": dict(c_plus=0.4, c_minus=0.0, h_plus=-0.2, h_minus=0.1),
+    "fast ray": dict(c_plus=0.0, c_minus=-0.3, h_plus=0.1, h_minus=0.4),
+    "equal c": dict(c_plus=0.0, c_minus=0.0, h_plus=0.1, h_minus=0.3),
+}
+
+
+def _rebased_prices(params, spec, t, x, sigma):
+    """call_price at s0 = x and maturity T - t, point by point (live points)."""
+    return np.array([
+        call_price(replace(params, s0=xi, sigma0=sigma),
+                   CallSpec(spec.strike, spec.maturity - ti), CTRL).price
+        for ti, xi in zip(t, x)
+    ])
+
+
+def _per_term_values(params, spec, t, x, sigma, n_max=40):
+    """S U - K u summed term by term from u_n and U_n (live points)."""
+    intens = martingale_intensities(params)
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    rates = dict(lam_p=lsp, lam_m=lsm, c_p=params.c_plus, c_m=params.c_minus,
+                 r_p=params.r_plus, r_m=params.r_minus)
+    s = spec.maturity - t
+    y = np.log(spec.strike / x)
+    b = log_kappa_sequence(n_max, sigma, params.h_plus, params.h_minus)
+    u = U = 0.0
+    for n in range(n_max + 1):
+        u = u + u_n(y - b[n], s, n, sigma, **rates)
+        U = U + U_n(y - b[n], s, n, sigma, **rates,
+                    h_p=params.h_plus, h_m=params.h_minus)
+    return x * U - spec.strike * u
+
+
+def _surface_points(params, spec):
+    """Repeated times; for n = 0 every third point above the fast ray, in
+    the wedge, or below the slow ray; two expired points at the end."""
+    t = np.repeat([0.0, 0.2, 0.2, 0.65, 0.97], 3)
+    s = spec.maturity - t
+    cp, cm = params.c_plus, params.c_minus
+    margin = 0.05 + 0.01 * np.arange(t.size)
+    y = np.choose(np.arange(t.size) % 3, [
+        cp * s + margin,
+        cm * s + (0.3 + margin) * (cp - cm) * s,
+        cm * s - margin,
+    ])
+    return (np.concatenate([t, [spec.maturity] * 2]),
+            np.concatenate([spec.strike * np.exp(-y), [80.0, 120.0]]))
+
+
+def _check_surface(params, spec, t, x, sigma):
+    vals = call_value_surface(t, x, sigma, params, spec, CTRL)
+    assert vals.shape == x.shape
+    live = t < spec.maturity
+    assert np.array_equal(vals[~live], np.maximum(x[~live] - spec.strike, 0.0))
+    ref = _rebased_prices(params, spec, t[live], x[live], sigma)
+    np.testing.assert_allclose(vals[live], ref, rtol=1e-10, atol=1e-13 * params.s0)
+    per_term = _per_term_values(params, spec, t[live], x[live], sigma)
+    np.testing.assert_allclose(vals[live], per_term, rtol=0, atol=1e-13 * params.s0)
+
+
 def test_surface_matches_pointwise(asym_params):
     spec = CallSpec(strike=100.0, maturity=1.0)
-    t = np.array([0.0, 0.4, 0.999, 1.0])
-    x = np.array([90.0, 100.0, 115.0, 120.0])
-    vals = call_value_surface(t, x, +1, asym_params, spec, CTRL)
-    assert vals.shape == x.shape
-    assert vals[3] == pytest.approx(20.0)  # expired: intrinsic
-    live = replace(asym_params, s0=115.0)
-    direct = call_price(
-        live, CallSpec(strike=100.0, maturity=1.0 - 0.999), CTRL
-    ).price
-    assert vals[2] == pytest.approx(direct, rel=1e-10)
+    t, x = _surface_points(asym_params, spec)
+    for sigma in (+1, -1):
+        _check_surface(asym_params, spec, t, x, sigma)
+
+
+@pytest.mark.parametrize("market", sorted(_RAY_MARKETS))
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_surface_on_the_rays(asym_params, market, sigma):
+    params = replace(asym_params, **_RAY_MARKETS[market])
+    spec = CallSpec(strike=100.0, maturity=1.0)
+    t, x = _surface_points(params, spec)
+    # x = K: y = 0 on the ray at every time to maturity
+    t = np.concatenate([t, [0.0, 0.3, 0.3, 0.9]])
+    x = np.concatenate([x, [spec.strike] * 4])
+    _check_surface(params, spec, t, x, sigma)
+
+
+def test_surface_across_chunks(asym_params):
+    # more points than one 2^15-point chunk, the same few times scattered
+    # over every chunk: one full-mass table serves all chunks
+    spec = CallSpec(strike=100.0, maturity=1.0)
+    t0, x0 = _surface_points(asym_params, spec)
+    reps = (1 << 15) // t0.size + 50
+    order = np.random.default_rng(5).permutation(t0.size * reps)
+    base = np.tile(np.arange(t0.size), reps)[order]
+    vals = call_value_surface(t0[base], x0[base], +1, asym_params, spec, CTRL)
+    assert vals.size > 1 << 15
+    live = t0 < spec.maturity
+    ref = np.maximum(x0 - spec.strike, 0.0)
+    ref[live] = _rebased_prices(asym_params, spec, t0[live], x0[live], +1)
+    np.testing.assert_allclose(vals, ref[base], rtol=1e-10,
+                               atol=1e-13 * asym_params.s0)
+
+
+def test_surface_steep_market_many_terms():
+    # lambda* = (20, 1), 561 terms: the full-mass rows pass Lambda_n's float
+    # range, and no wedge point reaches the switch counts where the transport
+    # kernel overflows
+    params = ModelParams(
+        c_plus=0.45, c_minus=-0.05, lambda_plus=2.0, lambda_minus=1.0,
+        h_plus=-0.02, h_minus=0.1, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=1,
+    )
+    ctrl = SeriesControls(max_terms=600)
+    spec = CallSpec(strike=150.0, maturity=10.0)
+    t = np.array([0.0, 2.5, 7.5, 9.9])
+    x = np.array([100.0, 130.0, 140.0, 149.0])
+    with np.errstate(over="raise", invalid="raise"):
+        vals = call_value_surface(t, x, +1, params, spec, ctrl)
+    ref = [call_price(replace(params, s0=xi), CallSpec(150.0, 10.0 - ti), ctrl).price
+           for ti, xi in zip(t, x)]
+    np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-13 * params.s0)
 
 
 # --- special families ---------------------------------------------------------
