@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DivergenceError
 from .model import Regime, check_regime, log_kappa_sequence
-from .numerics import gauss_legendre_nodes
+from .numerics import gauss_legendre_nodes, log_factorial
 
 _BESSEL_Z_MAX = 650.0  # I0 overflows float64 not far beyond this
+_MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf``
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def log_q_n(
         - n * math.log(params.delta_c)
         + _log_power(ea, la)
         + _log_power(eb, lb)
-        - gammaln(ea + 1)
-        - gammaln(eb + 1)
+        - log_factorial(ea)
+        - log_factorial(eb)
     )
 
 
@@ -285,7 +285,6 @@ def mgf(
     *,
     tail_eps: float = 1e-10,
     max_terms: int = 200,
-    quad_order: int = 400,
 ) -> float:
     """Moment-generating function of X(t) + ln kappa(t) at argument z.
 
@@ -297,7 +296,7 @@ def mgf(
     if not t > 0:
         raise ValueError("t must be positive")
     lo, hi = params.c_minus * t, params.c_plus * t
-    nodes, weights = gauss_legendre_nodes(lo, hi, quad_order)
+    nodes, weights = gauss_legendre_nodes(lo, hi, _MGF_QUAD_ORDER)
     ezx = np.exp(z * nodes) * weights
     log_kap = log_kappa_sequence(max_terms, sigma, h_plus, h_minus)
     lam_max = max(params.lambda_plus, params.lambda_minus)

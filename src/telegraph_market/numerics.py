@@ -102,6 +102,28 @@ def poisson_tail_bound(rate_t: float, n: int) -> float:
     return math.exp(log_head) / (1.0 - ratio)
 
 
+_LOG_FACTORIALS = np.zeros(1)  # log k! for k < len, grown by log_factorial
+
+
+def log_factorial(k: np.ndarray | int) -> np.ndarray | float:
+    """log k! for a nonnegative integer or integer array k.
+
+    Read from a table of ``math.lgamma`` values, so a call costs one array
+    index; the table doubles in length whenever a larger k is asked for.
+    Growing it only appends entries, so no caller sees a value change.
+    """
+    global _LOG_FACTORIALS
+    try:
+        return _LOG_FACTORIALS[k]
+    except IndexError:
+        size = len(_LOG_FACTORIALS)
+        while size <= np.max(k):
+            size *= 2
+        table = np.array([math.lgamma(j + 1) for j in range(size)])
+        _LOG_FACTORIALS = table
+        return table[k]
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], solved once per order.

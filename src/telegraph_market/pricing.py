@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc
 
 from .densities import DensityParams, log_p_n_continuous, p_n_continuous
 from .errors import NegativePriceError, TruncationError
@@ -47,7 +46,12 @@ from .model import (
     linear_transform_coeffs,
     log_kappa_sequence,
 )
-from .numerics import gauss_legendre_nodes, gauss_legendre_rule, poisson_tail_bound
+from .numerics import (
+    gauss_legendre_nodes,
+    gauss_legendre_rule,
+    log_factorial,
+    poisson_tail_bound,
+)
 
 _HYP_MAX_TERMS = 500
 
@@ -167,7 +171,7 @@ def _scaled_P_n(
         return np.exp(log_scale) * f
     safe_t = np.where(t_arr > 0, t_arr, 1.0)
     pref = np.where(
-        t_arr > 0, np.exp(log_scale + n * np.log(safe_t) - gammaln(n + 1)), 0.0
+        t_arr > 0, np.exp(log_scale + n * np.log(safe_t) - log_factorial(n)), 0.0
     )
     return pref * f
 
@@ -483,16 +487,6 @@ def series_terms(
     return out
 
 
-@dataclass
-class _SeriesResult:
-    u: np.ndarray | float
-    U: np.ndarray | float
-    u_terms: np.ndarray | None
-    U_terms: np.ndarray | None
-    tail_bound: float
-    n_used: int
-
-
 def tilted_intensities(
     params: ModelParams, lam_p: float, lam_m: float
 ) -> tuple[float, float]:
@@ -576,20 +570,18 @@ def call_u_U(
     controls: SeriesControls,
     weight_u: float,
     weight_U: float,
-    keep_terms: bool = True,
     masses: _FullMasses | None = None,
-) -> _SeriesResult:
-    """Accumulate the u and U series at kappa-shifted arguments y - b_n by
-    the transport route on arrays of points.
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Sums (u, U) of the u and U series at kappa-shifted arguments y - b_n,
+    by the transport route on arrays of points.
 
     Terms are summed in ascending n up to the stopping index of
     ``_series_length``. For each n one region split (``_regions``) serves
     u and U: points below the slow ray read the full-mass tables ``masses``
     (built here over t's distinct values when not given; a caller that
     splits a large array passes one table for all its parts), and only the
-    wedge points evaluate the transport kernel ``v_n``. With keep_terms=False
-    only the sums are kept (large-array callers). Raises TruncationError when
-    a sum is not finite.
+    wedge points evaluate the transport kernel ``v_n``. Raises TruncationError
+    when a sum is not finite.
     """
     check_regime(sigma)
     y_arr, t_arr = np.broadcast_arrays(
@@ -598,7 +590,7 @@ def call_u_U(
     y_flat, t_flat = y_arr.ravel(), t_arr.ravel()
     if np.any(t_flat <= 0):
         raise ValueError("t must be positive")
-    n_used, tail = _series_length(
+    n_used, _ = _series_length(
         float(np.min(t_flat)), float(np.max(t_flat)), params, intens, controls,
         weight_u, weight_U,
     )
@@ -611,41 +603,21 @@ def call_u_U(
 
     u_sum = np.zeros(t_flat.size)
     U_sum = np.zeros(t_flat.size)
-    u_terms = np.zeros((n_used + 1, t_flat.size)) if keep_terms else None
-    U_terms = np.zeros((n_used + 1, t_flat.size)) if keep_terms else None
     for n in range(n_used + 1):
         reg = _regions(y_flat - b[n], t_flat, cp, cm)
         below_pos = t_pos[reg.below]
-        parts = (
-            (u_sum, u_terms, u_rows[n], masses.u_rates),
-            (U_sum, U_terms, U_rows[n], masses.U_rates),
-        )
-        for total, terms, row, rates in parts:
-            wedge_vals = _wedge_term(reg, n, sigma, *rates)
-            below_vals = row[below_pos]
-            total[reg.wedge] += wedge_vals
-            total[reg.below] += below_vals
-            if terms is not None:
-                terms[n, reg.wedge] = wedge_vals
-                terms[n, reg.below] = below_vals
+        for total, row, rates in (
+            (u_sum, u_rows[n], masses.u_rates),
+            (U_sum, U_rows[n], masses.U_rates),
+        ):
+            total[reg.wedge] += _wedge_term(reg, n, sigma, *rates)
+            total[reg.below] += row[below_pos]
     if not (np.isfinite(u_sum).all() and np.isfinite(U_sum).all()):
         raise TruncationError(f"transport series overflowed within {n_used + 1} terms")
     shape = y_arr.shape
-    if keep_terms:
-        u_terms = u_terms.reshape((n_used + 1, *shape))
-        U_terms = U_terms.reshape((n_used + 1, *shape))
     if shape == ():
-        u_total, U_total = float(u_sum[0]), float(U_sum[0])
-    else:
-        u_total, U_total = u_sum.reshape(shape), U_sum.reshape(shape)
-    return _SeriesResult(
-        u=u_total,
-        U=U_total,
-        u_terms=u_terms,
-        U_terms=U_terms,
-        tail_bound=tail,
-        n_used=n_used,
-    )
+        return float(u_sum[0]), float(U_sum[0])
+    return u_sum.reshape(shape), U_sum.reshape(shape)
 
 
 def call_price(
@@ -657,33 +629,30 @@ def call_price(
 
     The terms integrate the closed-form switch-count densities
     (``series_terms``), u at the martingale intensities and U at the tilted
-    ones; the c_+ = c_- market, which has no continuous density, sums its
-    full-mass terms through ``call_u_U``.
+    ones. The c_+ = c_- market has no continuous density: there each term is
+    the full mass rho_n(T) where the shifted log-strike lies on or below the
+    ray y = c T, and 0 above it.
     """
     intens = martingale_intensities(params)
     y = math.log(spec.strike / params.s0)
     T = spec.maturity
     sigma = params.sigma0
     cp, cm = params.c_plus, params.c_minus
+    n_used, tail = _series_length(
+        T, T, params, intens, controls, weight_u=spec.strike, weight_U=params.s0
+    )
+    shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    lbp, lbm = tilted_intensities(params, lsp, lsm)
     if cp == cm:
-        res = call_u_U(
-            y, T, sigma, params, intens, controls,
-            weight_u=spec.strike, weight_U=params.s0,
-        )
-        n_used, tail = res.n_used, res.tail_bound
-        shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
-        u_terms = np.asarray(res.u_terms, dtype=float)
-        U_terms = np.asarray(res.U_terms, dtype=float)
+        u_terms, U_terms = np.zeros((2, n_used + 1))
+        for n in np.flatnonzero(shifted <= cp * T):
+            u_terms[n] = rho_n(T, n, sigma, lsp, lsm, params.r_plus, params.r_minus)
+            U_terms[n] = rho_n(T, n, sigma, lbp, lbm, 0.0, 0.0)
     else:
-        n_used, tail = _series_length(
-            T, T, params, intens, controls, weight_u=spec.strike, weight_U=params.s0
-        )
-        shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
-        lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
         u_terms = series_terms(
             shifted, T, sigma, lsp, lsm, cp, cm, params.r_plus, params.r_minus
         )
-        lbp, lbm = tilted_intensities(params, lsp, lsm)
         U_terms = series_terms(shifted, T, sigma, lbp, lbm, cp, cm, 0.0, 0.0)
     u = float(np.sum(u_terms))
     U = float(np.sum(U_terms))
@@ -768,7 +737,7 @@ def call_value_surface(
         for i in range(0, live.size, chunk):
             xc = x_flat[i : i + chunk]
             sc = s_flat[i : i + chunk]
-            res = call_u_U(
+            u, U = call_u_U(
                 np.log(spec.strike / xc),
                 sc,
                 sigma,
@@ -777,10 +746,9 @@ def call_value_surface(
                 controls,
                 weight_u=spec.strike,
                 weight_U=float(np.max(xc)),
-                keep_terms=False,
                 masses=masses,
             )
-            vals[i : i + chunk] = xc * res.U - spec.strike * res.u
+            vals[i : i + chunk] = xc * U - spec.strike * u
         out.ravel()[live] = vals
     return float(out) if scalar else out
 
@@ -805,18 +773,25 @@ def merton_price(
         )
     lam_star = (c - r) / h
     w = (math.log(strike / s0) - c * maturity) / math.log1p(-h)
-    # pdtr(k, m) = P(N <= k) and pdtrc(k, m) = P(N > k) for N ~ Poisson(m);
-    # both are nan for k < 0, where the probabilities are 0 and 1
     m_u, m_big = lam_star * maturity, lam_star * (1.0 - h) * maturity
+    # in the money: N <= n0 switches on the first branch, N > n0 on the second
     if 0 < h < 1:
-        n0 = math.ceil(w) - 1
-        q_u, q_big = (pdtr(n0, m_u), pdtr(n0, m_big)) if n0 >= 0 else (0.0, 0.0)
+        k_lo, k_hi = 0, math.ceil(w) - 1
     else:
-        n0 = math.floor(w)
-        q_u, q_big = (pdtrc(n0, m_u), pdtrc(n0, m_big)) if n0 >= 0 else (1.0, 1.0)
-    u = math.exp(-r * maturity) * float(q_u)
-    big_u = float(q_big)
-    return s0 * big_u - strike * u
+        k_lo, k_hi = math.floor(w) + 1, math.inf
+    q_u, q_big = (_poisson_mass(k_lo, k_hi, m) for m in (m_u, m_big))
+    return s0 * q_big - strike * math.exp(-r * maturity) * q_u
+
+
+def _poisson_mass(k_lo: int, k_hi: float, mean: float) -> float:
+    """P(k_lo <= N <= k_hi) for N ~ Poisson(mean), summed in log space.
+
+    Counts beyond mean + 40 (sqrt(mean) + 1) carry less than 1e-26 of the
+    mass (Bernstein's inequality), so the sum stops there.
+    """
+    k_hi = min(k_hi, int(mean + 40.0 * (math.sqrt(mean) + 1.0)))
+    j = np.arange(max(k_lo, 0), k_hi + 1)
+    return float(np.sum(np.exp(j * math.log(mean) - mean - log_factorial(j))))
 
 
 def symmetric_price_check(
@@ -852,35 +827,54 @@ def symmetric_price_check(
     y = math.log(spec.strike / params.s0)
     cp, cm = params.c_plus, params.c_minus
     b = log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
-    pref = math.exp(-(lam_star + r) * T)
+    log_pref = -(lam_star + r) * T
+    weight = spec.strike * math.exp(log_pref)
 
+    # u_n = e^{-(lam* + r) T} lam*^n / n! sum_{k <= m} C(n, k) q^k p^{n-k} in
+    # the wedge, and p + q = T there, so u_n is the Poisson(lam* T) mass at n,
+    # discounted, times P(Binomial(n, q / T) <= m); below the slow ray the
+    # probability is 1, above the fast ray 0. The series stops where the
+    # strike-weighted tail is below tail_epsilon, as ``_series_length`` does
     u_total = 0.0
     for n in range(controls.max_terms + 1):
         y_n = y - b[n]
-        if y_n > cp * T:
-            term = 0.0
-        elif y_n < cm * T:
-            term = pref * (lam_star * T) ** n / math.factorial(n)
-        else:
-            p = (cp * T - y_n) / (2.0 * c)
-            q = (y_n - cm * T) / (2.0 * c)
-            m = _m_index(n, sigma)
-            binom_sum = sum(
-                math.comb(n, k) * q**k * p ** (n - k) for k in range(m + 1)
-            )
-            term = pref * lam_star**n * binom_sum / math.factorial(n)
-        u_total += term
-        if poisson_tail_bound(lam_star * T, n) < controls.tail_epsilon:
+        if y_n <= cp * T:
+            log_term = log_pref + n * math.log(lam_star * T) - log_factorial(n)
+            if y_n < cm * T:
+                u_total += math.exp(log_term)
+            else:
+                p = (cp * T - y_n) / (2.0 * c)
+                q = (y_n - cm * T) / (2.0 * c)
+                u_total += math.exp(log_term) * _binomial_cdf(
+                    _m_index(n, sigma), n, q, p
+                )
+        if weight * poisson_tail_bound(lam_star * T, n) < controls.tail_epsilon:
             break
     else:
         raise TruncationError("symmetric series exceeded the term budget")
 
     intens = martingale_intensities(params)
-    res = call_u_U(
+    _, U = call_u_U(
         y, T, sigma, params, intens, controls,
         weight_u=spec.strike, weight_U=params.s0,
     )
-    return params.s0 * res.U - spec.strike * u_total
+    return params.s0 * U - spec.strike * u_total
+
+
+def _binomial_cdf(m: int, n: int, q: float, p: float) -> float:
+    """P(B <= m) for B ~ Binomial(n, q / (q + p)), q, p >= 0, summed in log
+    space."""
+    k = np.arange(m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q, log_p = np.log([q / (q + p), p / (q + p)])
+        log_pmf = (
+            log_factorial(n)
+            - log_factorial(k)
+            - log_factorial(n - k)
+            + np.where(k > 0, k * log_q, 0.0)
+            + np.where(k < n, (n - k) * log_p, 0.0)
+        )
+    return float(np.sum(np.exp(log_pmf)))
 
 
 def european_price_F(

@@ -133,6 +133,26 @@ def test_price_merton_method(tmp_path, capsys):
     assert json.loads(out)["price"] == pytest.approx(ref, rel=1e-12)
 
 
+def test_price_symmetric_method_long_series(tmp_path, capsys):
+    # lambda* = c / h = 10 and T = 10: the u half sums 186 terms, past
+    # n = 170, beyond which n! no longer converts to a float
+    cfg = tmp_path / "symmetric.cfg"
+    cfg.write_text(
+        "c_plus = 0.55\nc_minus = -0.45\nlambda_plus = 2.0\nlambda_minus = 2.0\n"
+        "h_plus = -0.05\nh_minus = 0.05\nr_plus = 0.05\nr_minus = 0.05\n"
+        "s0 = 100.0\nsigma0 = +1\n"
+    )
+    code, out = _run(
+        ["price", "--config", str(cfg), "--strike", "100", "--maturity", "10",
+         "--method", "symmetric"],
+        capsys,
+    )
+    assert code == 0
+    params, controls = parse_config(cfg.read_text())
+    ref = call_price(params, CallSpec(strike=100.0, maturity=10.0), controls).price
+    assert json.loads(out)["price"] == pytest.approx(ref, rel=1e-11)
+
+
 def test_price_arbitrage_exit_code(tmp_path, capsys):
     cfg = tmp_path / "h0.cfg"
     cfg.write_text(CONFIG.replace("h_plus = -0.2", "h_plus = 0.0"))
@@ -169,11 +189,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_cli_import_skips_heavy_scipy_modules():
-    # start-up cost: the CLI must not pull in scipy.stats or scipy.integrate
+    # the package's only runtime dependency is numpy: importing it and the
+    # CLI loads no scipy module, which would be most of every call's start-up
     src = str(Path(telegraph_market.__file__).resolve().parents[1])
     probe = (
-        "import sys, telegraph_market.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+        "import sys, telegraph_market, telegraph_market.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

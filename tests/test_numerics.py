@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from telegraph_market.numerics import gauss_legendre_nodes, gauss_legendre_rule
+from telegraph_market.numerics import (
+    gauss_legendre_nodes,
+    gauss_legendre_rule,
+    log_factorial,
+)
 
 
 def test_gauss_legendre_rule_cached_and_read_only():
@@ -23,3 +29,16 @@ def test_gauss_legendre_nodes_map_the_reference_rule():
     assert np.array_equal(weights, 0.5 * (b - a) * ref_w)
     assert nodes.flags.writeable
     assert weights @ nodes**3 == pytest.approx((b**4 - a**4) / 4, rel=1e-14)
+
+
+def test_log_factorial_matches_lgamma_at_any_size():
+    # the table has no upper bound: a k past its current length grows it,
+    # and the values already read do not change
+    small = log_factorial(np.arange(10))
+    assert np.array_equal(small, [math.lgamma(k + 1) for k in range(10)])
+    big = np.array([[0], [171], [5000]])
+    assert log_factorial(big).shape == (3, 1)
+    ref = [math.lgamma(k + 1) for k in (0, 171, 5000)]
+    assert np.array_equal(log_factorial(big)[:, 0], ref)
+    assert log_factorial(7) == math.lgamma(8)
+    assert np.array_equal(log_factorial(np.arange(10)), small)

@@ -339,11 +339,11 @@ def test_call_price_put_call_parity(asym_params):
     # u series at y -> -inf (strike-weight only, full mass)
     spec = CallSpec(strike=100.0, maturity=1.0)
     intens = martingale_intensities(asym_params)
-    res = call_u_U(
+    u, _ = call_u_U(
         np.array([-1e9]), spec.maturity, asym_params.sigma0, asym_params,
         intens, CTRL, 1.0, 0.0,
     )
-    disc_bond = float(np.atleast_1d(res.u)[0])
+    disc_bond = float(u[0])
     call = call_price(asym_params, spec, CTRL).price
     # put by direct quadrature pricer on the same engine
     put = european_price_F(
@@ -571,10 +571,10 @@ def test_european_price_F_identities(asym_params):
     one = european_price_F(
         t, x, sigma, lambda s: np.ones_like(s), 1.0, asym_params, CTRL
     )
-    res = call_u_U(
+    u, _ = call_u_U(
         np.array([-1e9]), 1.0, sigma, asym_params, intens, CTRL, 1.0, 0.0
     )
-    assert one == pytest.approx(float(np.atleast_1d(res.u)[0]), rel=1e-11)
+    assert one == pytest.approx(float(u[0]), rel=1e-11)
     stock = european_price_F(
         t, x, sigma, lambda s: s, 1.0, asym_params, CTRL
     )

@@ -96,11 +96,7 @@ def test_threshold_residual(params):
         assert abs(resid) <= 1e-10 * max(1.0, z ** (-a))
 
 
-def test_threshold_linear_case_closed_form():
-    # -a = 1 with S0 = K = 1 gives z = gamma C/(gamma C - 1) exactly; build
-    # the linear case by a symmetric market where c*_+ - c*_- = -(c_+ - c_-)
-    # ... instead verify the generic solver against the closed form of the
-    # same scalar equation it is solving, with synthetic coefficients
+def test_case_label_splits_at_unit_exponent():
     from telegraph_market.quantile import _case_label
 
     assert _case_label(-1.0) == "single_threshold"
@@ -108,8 +104,10 @@ def test_threshold_linear_case_closed_form():
 
 
 def test_double_threshold_structure(double_params):
+    from telegraph_market.quantile import _slice_coeff
+
     intens = martingale_intensities(double_params)
-    a, _ = density_ratio_coeffs(double_params, intens)
+    a, b = density_ratio_coeffs(double_params, intens)
     assert -a > 1.0
     spec = CallSpec(strike=95.0, maturity=1.0)
     # small gamma: the constraint never binds, the n-slice is fully included
@@ -118,6 +116,23 @@ def test_double_threshold_structure(double_params):
     big = threshold_z(2, 1e3, double_params, spec, intens)
     assert isinstance(big, tuple) and big[0] < big[1]
     assert big[0] > spec.strike / double_params.s0
+    # both roots solve g(z) = z^{-a} - C_n (S0 z - K) = 0, measured as the
+    # relative Newton step |g| / (|g'| z): z1 sits next to K/S0, where g' is
+    # about C_n S0 and a residual scaled by z^{-a} alone would read large
+    s0, strike, alpha = double_params.s0, spec.strike, -a
+    windows = 0
+    for gamma in np.logspace(-2, 3, 6):
+        for n in range(8):
+            roots = threshold_z(n, gamma, double_params, spec, intens)
+            if roots is None:
+                continue
+            windows += 1
+            c_n = _slice_coeff(n, gamma, double_params, intens, a, b, spec.maturity)
+            for z in roots:
+                g = z**alpha - c_n * (s0 * z - strike)
+                g_prime = alpha * z ** (alpha - 1.0) - c_n * s0
+                assert abs(g) <= 1e-12 * abs(g_prime) * z
+    assert windows >= 30
 
 
 def test_budget_solution_residual_and_monotonicity(params):
@@ -183,11 +198,11 @@ def test_example_identity_when_measures_agree():
     g = sol.gamma
     k2 = SPEC.strike + 1.0 / g
     c_k2 = call_price(p, CallSpec(strike=k2, maturity=1.0), CTRL).price
-    tail = call_u_U(
+    tail_u, _ = call_u_U(
         np.array([math.log(k2 / p.s0)]), 1.0, p.sigma0, p, intens, CTRL,
         1.0, 0.0,
     )
-    ident = perfect - c_k2 - (1.0 / g) * float(np.atleast_1d(tail.u)[0])
+    ident = perfect - c_k2 - (1.0 / g) * float(tail_u[0])
     assert ident == pytest.approx(0.5 * perfect, rel=1e-8)
 
 
