@@ -2,8 +2,8 @@
 
 With less than the perfect-hedge price, one can still super-replicate the
 call on a maximal-probability success set. The optimal set is a threshold
-region of the terminal log-trend, found by bisection on the threshold
-equation; the frontier below maps budget fraction to success probability,
+region of the terminal log-trend, found by Newton's method on the
+threshold equation; the frontier below maps budget fraction to success probability,
 cross-checked by Monte Carlo under the physical measure.
 """
 

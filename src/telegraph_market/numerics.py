@@ -1,4 +1,5 @@
-"""Shared numerical helpers: quadrature nodes, bisection, series tail bounds."""
+"""Shared numerical helpers: quadrature nodes, a bracketed root finder,
+series tail bounds and log factorials."""
 
 from __future__ import annotations
 
@@ -9,89 +10,98 @@ from typing import Callable
 import numpy as np
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rtol: float = 1e-13,
-    abs_tol: float = 0.0,
-    max_iter: int = 200,
-) -> float:
-    """Root of a sign-changing continuous function on [lo, hi] by bisection."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("bisect_root: no sign change on the bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= rtol * max(abs(lo), abs(hi)) + abs_tol:
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+_MAX_EXPAND = 200
+_MAX_BRENT_ITER = 200
 
 
-def expand_bracket_up(
+def geometric_root(
     f: Callable[[float], float],
     start: float,
+    factor: float,
     *,
-    factor: float = 4.0,
-    max_expand: int = 200,
-) -> tuple[float, float] | None:
-    """Geometric search for a sign change of ``f`` on [start * factor^k] upwards.
+    rtol: float,
+    abs_tol: float = 0.0,
+    f_start: float | None = None,
+) -> float | None:
+    """Root of ``f`` beyond ``start``: the first sign change on the points
+    start * factor^k (k <= 200), then Brent's method on that bracket.
 
-    Returns a bracketing pair or None if ``f`` keeps its sign throughout.
+    ``factor`` > 1 searches upwards, < 1 downwards; ``f_start`` is f(start)
+    when the caller already has it. Returns None when ``f`` keeps its sign.
+    The bracket is closed to a width of rtol * |x| + abs_tol; a function with
+    a jump instead of a root gives the point next to the jump.
     """
     lo = start
-    flo = f(lo)
+    flo = f(lo) if f_start is None else f_start
     if flo == 0.0:
-        return (lo, lo)
+        return lo
     hi = lo * factor
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         fhi = f(hi)
-        if flo * fhi <= 0:
-            return (lo, hi)
+        if fhi == 0.0 or (fhi > 0.0) != (flo > 0.0):
+            return _brent(f, lo, hi, flo, fhi, rtol, abs_tol)
         lo, flo = hi, fhi
         hi *= factor
     return None
 
 
-def expand_bracket_down(
+def _brent(
     f: Callable[[float], float],
-    start: float,
-    *,
-    factor: float = 4.0,
-    max_expand: int = 200,
-) -> tuple[float, float] | None:
-    """Geometric search for a sign change on [start / factor^k, start]."""
-    hi = start
-    fhi = f(hi)
-    if fhi == 0.0:
-        return (hi, hi)
-    lo = hi / factor
-    for _ in range(max_expand):
-        flo = f(lo)
-        if flo * fhi <= 0:
-            return (lo, hi)
-        hi, fhi = lo, flo
-        lo /= factor
-    return None
+    x_pre: float,
+    x_cur: float,
+    f_pre: float,
+    f_cur: float,
+    rtol: float,
+    abs_tol: float,
+) -> float:
+    """Brent's method on a bracket with f_pre, f_cur of opposite signs.
+
+    Each step is a secant or inverse quadratic interpolation step when it
+    stays well inside the bracket and bisection otherwise (R. P. Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4).
+    """
+    if f_cur == 0.0:
+        return x_cur
+    x_blk = f_blk = 0.0
+    s_pre = s_cur = 0.0
+    for _ in range(_MAX_BRENT_ITER):
+        if (f_pre > 0.0) != (f_cur > 0.0):  # x_blk keeps the sign change
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (abs_tol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    return x_cur
 
 
 def poisson_tail_bound(rate_t: float, n: int) -> float:
     """Upper bound on sum_{k > n} (rate_t)^k / k!.
 
     Uses the geometric-ratio bound on the Poisson-type tail; valid (and
-    finite) once n + 2 > rate_t, else returns +inf.
+    finite) once n + 2 > rate_t, else returns +inf. A bound past the float
+    range is +inf as well.
     """
     if rate_t <= 0.0:
         return 0.0
@@ -99,7 +109,11 @@ def poisson_tail_bound(rate_t: float, n: int) -> float:
     if ratio >= 1.0:
         return math.inf
     log_head = (n + 1) * math.log(rate_t) - math.lgamma(n + 2)
-    return math.exp(log_head) / (1.0 - ratio)
+    try:
+        head = math.exp(log_head)
+    except OverflowError:
+        return math.inf
+    return head / (1.0 - ratio)
 
 
 _LOG_FACTORIALS = np.zeros(1)  # log k! for k < len, grown by log_factorial

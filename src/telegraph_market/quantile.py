@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import ModelParams, kappa, linear_transform_coeffs, log_kappa_sequence
-from .numerics import bisect_root, expand_bracket_down, expand_bracket_up, poisson_tail_bound
+from .numerics import geometric_root, poisson_tail_bound
 from .pricing import (
     CallSpec,
     SeriesControls,
@@ -70,6 +70,22 @@ def density_ratio_coeffs(
     )
 
 
+def _log_slice_coeffs(
+    n_max: int,
+    gamma: float,
+    params: ModelParams,
+    intens: MartingaleIntensities,
+    a: float,
+    b: float,
+    maturity: float,
+) -> np.ndarray:
+    """log C_n = log gamma + log kappa*_n - a log kappa_n + bT for n = 0..n_max."""
+    sig = params.sigma0
+    log_kap_star = log_kappa_sequence(n_max, sig, intens.h_star_plus, intens.h_star_minus)
+    log_kap = log_kappa_sequence(n_max, sig, params.h_plus, params.h_minus)
+    return math.log(gamma) + log_kap_star - a * log_kap + b * maturity
+
+
 def _slice_coeff(
     n: int,
     gamma: float,
@@ -79,11 +95,108 @@ def _slice_coeff(
     b: float,
     maturity: float,
 ) -> float:
-    """C_n = gamma kappa*_n kappa_n^{-a} e^{bT} of the threshold equation."""
+    """C_n = gamma kappa*_n kappa_n^{-a} e^{bT} of the threshold equation,
+    from the kappa products: the scalar cross-check of ``_log_slice_coeffs``."""
     sig = params.sigma0
     kap = kappa(n, sig, params.h_plus, params.h_minus)
     kap_star = kappa(n, sig, intens.h_star_plus, intens.h_star_minus)
     return gamma * kap_star * kap ** (-a) * math.exp(b * maturity)
+
+
+_NEWTON_MAX_ITER = 100
+
+
+def _newton_from_bound(
+    v: np.ndarray,
+    step_sign: np.ndarray | float,
+    log_c: np.ndarray,
+    alpha: float,
+    log_s0: float,
+    log_k: float,
+) -> np.ndarray:
+    """Newton on F(v) = log C_n + v - alpha (ln(K + e^v) - ln S0), one root
+    per entry, from starts on the side where every step has ``step_sign``.
+
+    On that side F is concave rising to the left of its root, concave falling
+    to the right of it, or convex rising to the right of it, so the iterates
+    move monotonically onto the root. An entry stops once its step turns
+    against that direction (rounding at the root) or falls to a few ulps;
+    NaN entries stay NaN.
+    """
+    log_cs = log_c + log_s0
+    for _ in range(_NEWTON_MAX_ITER):
+        # F = log(C_n S0) - ln(1 + K e^{-v}) - (alpha - 1) ln z, which keeps
+        # v and alpha ln z (each up to ~700) from cancelling for alpha ~ 1
+        log_sum = np.logaddexp(log_k, v)  # ln(K + e^v) = ln(S0 z)
+        f = log_cs - np.logaddexp(0.0, log_k - v) - (alpha - 1.0) * (log_sum - log_s0)
+        slope = np.exp(log_k - log_sum) - (alpha - 1.0) * np.exp(v - log_sum)
+        step = -f / slope
+        ahead = step_sign * step > 0.0  # False where v is NaN (no root)
+        v = np.where(ahead, v + step, v)
+        if not np.any(ahead & (np.abs(step) > 4e-16 * np.maximum(1.0, np.abs(v)))):
+            return v
+    raise TruncationError("threshold Newton iteration did not converge")
+
+
+def _moneyness_roots(
+    log_c: np.ndarray, alpha: float, s0: float, strike: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds z > K/S0 solving z^alpha = C_n (S0 z - K) for every n.
+
+    Returns (z1, z2): z1 is NaN where no root is representable, z2 is NaN
+    where the slice has at most one root and +inf where the upper root lies
+    beyond the float range. See ``threshold_z`` for the method.
+    """
+    log_s0, log_k = math.log(s0), math.log(strike)
+    nan = np.full(log_c.shape, np.nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if alpha == 1.0:
+            # F rises to log(C_n S0): one root iff C_n S0 > 1, in closed form
+            excess = log_c + log_s0
+            v1 = np.where(excess > 0.0, log_k - np.log(np.expm1(excess)), np.nan)
+            v2 = nan
+        else:
+            # roots of the lines of slope 1 and 1 - alpha that bound F from
+            # above (0 < alpha) or below (alpha <= 0)
+            r_flat = alpha * (log_k - log_s0) - log_c
+            r_steep = (log_c + alpha * log_s0) / (alpha - 1.0)
+            if alpha < 1.0:
+                rising = alpha > 0.0
+                start = np.maximum(r_flat, r_steep) if rising else np.minimum(r_flat, r_steep)
+                v1 = _newton_from_bound(
+                    start, 1.0 if rising else -1.0, log_c, alpha, log_s0, log_k
+                )
+                v2 = nan
+            else:
+                # concave with its peak at e^v = K / (alpha - 1), where
+                # ln(1 + K e^{-v}) = ln alpha and ln z = ln(K/S0) +
+                # ln(alpha / (alpha - 1)): a window of two roots iff F > 0 there
+                log_alpha = math.log(alpha)
+                peak = log_c + log_s0 - log_alpha - (alpha - 1.0) * (
+                    log_k - log_s0 + log_alpha - math.log(alpha - 1.0)
+                )
+                open_ = peak > 0.0
+                both = np.concatenate([np.where(open_, r_flat, np.nan),
+                                       np.where(open_, r_steep, np.nan)])
+                sign = np.repeat([1.0, -1.0], log_c.size)
+                roots = _newton_from_bound(
+                    both, sign, np.tile(log_c, 2), alpha, log_s0, log_k
+                )
+                v1, v2 = roots[: log_c.size], roots[log_c.size:]
+        z1 = strike / s0 + np.exp(v1 - log_s0)
+        z2 = strike / s0 + np.exp(v2 - log_s0)
+    lost = ~np.isfinite(z1)
+    z1[lost] = np.nan
+    z2[lost] = np.nan
+    return z1, z2
+
+
+def _as_threshold(first: float, second: float) -> Threshold:
+    if math.isnan(first):
+        return None
+    if math.isnan(second):
+        return first
+    return (first, second)
 
 
 def threshold_z(
@@ -96,41 +209,30 @@ def threshold_z(
     """Moneyness threshold(s) z > K/S0 solving z^{-a} = C_n (S0 z - K).
 
     Single root for -a <= 1, a (z1, z2) pair for -a > 1; None when the level
-    set never meets the payoff region (the n-slice is then fully included).
+    set never meets the payoff region (the n-slice is then fully included)
+    or meets it only beyond the float range.
+
+    With alpha = -a and v = ln(S0 z - K) the equation reads F(v) = 0, where
+    F(v) = log C_n + v - alpha (ln(K + e^v) - ln S0). For alpha > 0, F is
+    concave and lies below the lines of slope 1 and 1 - alpha through
+    v = alpha ln(K/S0) - log C_n and v = (log C_n + alpha ln S0)/(alpha - 1);
+    for alpha <= 0 it is convex and lies above them. Newton started at the
+    nearer line's root therefore converges monotonically: for alpha < 1 to
+    the one root, for alpha > 1 to z1 from the slope-1 root and to z2 from
+    the other. For alpha > 1 the window exists iff F > 0 at its peak
+    e^v = K/(alpha - 1). For alpha = 1 exactly, F rises to log(C_n S0): a
+    root exists iff C_n S0 > 1, and it is z = C_n K / (C_n S0 - 1).
+
+    This is the one-n view of the array solver that serves every n at once.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if intens is None:
         intens = martingale_intensities(params)
     a, b = density_ratio_coeffs(params, intens)
-    c_n = _slice_coeff(n, gamma, params, intens, a, b, spec.maturity)
-    s0, strike = params.s0, spec.strike
-    z_k = strike / s0
-    alpha = -a
-
-    if alpha <= 1.0:
-        # z^{-a} grows at most linearly: at most one downward crossing
-        def g(z: float) -> float:
-            return c_n * (s0 * z - strike) - z**alpha
-
-        bracket = expand_bracket_up(g, z_k)
-        if bracket is None:
-            return None
-        return bisect_root(g, *bracket, rtol=1e-13)
-
-    # superlinear left side: the level set {g <= 0} is an interval (z1, z2)
-    def g(z: float) -> float:
-        return z**alpha - c_n * (s0 * z - strike)
-
-    z_min = (c_n * s0 / alpha) ** (1.0 / (alpha - 1.0))
-    if z_min <= z_k or g(z_min) > 0:
-        return None
-    z1 = bisect_root(g, z_k, z_min, rtol=1e-13)
-    bracket = expand_bracket_up(g, z_min)
-    if bracket is None:  # cannot happen: g -> +inf
-        raise RuntimeError("upper threshold bracket expansion failed")
-    z2 = bisect_root(g, *bracket, rtol=1e-13)
-    return (z1, z2)
+    log_c = _log_slice_coeffs(n, gamma, params, intens, a, b, spec.maturity)[n:]
+    z1, z2 = _moneyness_roots(log_c, -a, params.s0, spec.strike)
+    return _as_threshold(float(z1[0]), float(z2[0]))
 
 
 def _n_cutoff(params: ModelParams, intens: MartingaleIntensities,
@@ -152,17 +254,13 @@ def _thresholds_for_gamma(
     intens: MartingaleIntensities,
     n_max: int,
 ) -> tuple[Threshold, ...]:
+    a, b = density_ratio_coeffs(params, intens)
+    log_c = _log_slice_coeffs(n_max, gamma, params, intens, a, b, spec.maturity)
+    z1, z2 = _moneyness_roots(log_c, -a, params.s0, spec.strike)
     b_n = log_kappa_sequence(n_max, params.sigma0, params.h_plus, params.h_minus)
-    out: list[Threshold] = []
-    for n in range(n_max + 1):
-        z = threshold_z(n, gamma, params, spec, intens)
-        if z is None:
-            out.append(None)
-        elif isinstance(z, tuple):
-            out.append((math.log(z[0]) - b_n[n], math.log(z[1]) - b_n[n]))
-        else:
-            out.append(math.log(z) - b_n[n])
-    return tuple(out)
+    y1 = (np.log(z1) - b_n).tolist()
+    y2 = (np.log(z2) - b_n).tolist()
+    return tuple(_as_threshold(first, second) for first, second in zip(y1, y2))
 
 
 def _excluded_value(
@@ -255,8 +353,10 @@ def solve_budget_gamma(
 ) -> QuantileSolution:
     """Find gamma so the constrained hedge costs exactly the budget.
 
-    The constrained capital is strictly decreasing in gamma, so bracketed
-    bisection converges unconditionally; residual below 1e-9 * S0.
+    The constrained capital is strictly decreasing in gamma, so Brent's
+    method on a bracket converges unconditionally; residual below 1e-9 * S0.
+    Where the capital jumps past the budget (the atom of a no-switch slice)
+    the root finder stops at the jump and the residual check raises.
     """
     intens = martingale_intensities(params)
     perfect = call_price(params, spec, controls).price
@@ -274,13 +374,12 @@ def solve_budget_gamma(
         return cap - budget.v0
 
     f1 = capital_minus_v0(1.0)
-    if f1 > 0:  # capital decreases in gamma: search upward
-        bracket = expand_bracket_up(capital_minus_v0, 1.0)
-    else:
-        bracket = expand_bracket_down(capital_minus_v0, 1.0)
-    if bracket is None:
+    # capital decreases in gamma: search upward from 1 when it is too high
+    gamma = geometric_root(
+        capital_minus_v0, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=1e-14
+    )
+    if gamma is None:
         raise BudgetError("failed to bracket gamma for the budget equation")
-    gamma = bisect_root(capital_minus_v0, *bracket, rtol=1e-14)
     cap, thresholds = constrained_capital(
         gamma, params, spec, intens, controls, perfect, n_max
     )
@@ -328,12 +427,11 @@ def solve_dual(
         )
         return excluded - epsilon
 
-    bracket = expand_bracket_up(shortfall, 1e-8)
-    if bracket is None:
+    gamma = geometric_root(shortfall, 1e-8, 4.0, rtol=1e-13, abs_tol=1e-12)
+    if gamma is None:
         raise BudgetError(
             "infeasible epsilon: shortfall never reaches the target"
         )
-    gamma = bisect_root(shortfall, *bracket, rtol=1e-13, abs_tol=1e-12)
     cap, thresholds = constrained_capital(
         gamma, params, spec, intens, controls, perfect, n_max
     )

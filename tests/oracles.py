@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's own series/kernel code:
 switch-count masses come from direct ODE integration of the counting-process
-forward equations, and the series terms u_n / U_n are recomputed by adaptive
-quadrature against the per-switch densities.
+forward equations, the series terms u_n / U_n are recomputed by adaptive
+quadrature against the per-switch densities, and the quantile-hedging
+thresholds are found by scalar bracketed bisection in z.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -115,3 +119,58 @@ def U_n_quadrature(
 
     out, _ = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)
     return float(kap * out)
+
+
+def threshold_bisection(
+    c_n: float, alpha: float, s0: float, strike: float, rtol: float = 1e-13
+) -> None | float | tuple[float, float]:
+    """Roots z > K/S0 of z^alpha = c_n (S0 z - K) by bracketed bisection.
+
+    Same return convention as ``quantile.threshold_z``: None, one root, or
+    (z1, z2) with z2 = inf when the upper root lies past the float range.
+    A root counts only below the largest float. Works on
+    h(z) = g(z)/z = z^(alpha-1) - c_n (S0 - K/z), whose sign is g's and which
+    stays finite where z^alpha or c_n S0 z would overflow.
+    """
+    z_k = strike / s0
+    z_top = sys.float_info.max
+
+    def h(z: float) -> float:
+        return z ** (alpha - 1.0) - c_n * (s0 - strike / z)
+
+    def bisect(lo: float, hi: float) -> float:
+        h_lo = h(lo)
+        while hi - lo > rtol * hi:
+            mid = lo + 0.5 * (hi - lo)  # lo + hi can overflow
+            h_mid = h(mid)
+            if h_mid == 0.0:
+                return mid
+            if (h_mid > 0.0) == (h_lo > 0.0):
+                lo, h_lo = mid, h_mid
+            else:
+                hi = mid
+        return lo + 0.5 * (hi - lo)
+
+    def first_sign_change_above(z: float) -> tuple[float, float] | None:
+        h_z = h(z)
+        while z < z_top:
+            nxt = min(4.0 * z, z_top)
+            h_nxt = h(nxt)
+            if h_nxt == 0.0 or (h_nxt > 0.0) != (h_z > 0.0):
+                return z, nxt
+            z, h_z = nxt, h_nxt
+        return None
+
+    if alpha <= 1.0:
+        # h(K/S0) = z_k^(alpha-1) > 0 and h falls through zero at most once
+        bracket = first_sign_change_above(z_k)
+        return None if bracket is None else bisect(*bracket)
+    # convex g: the set {g < 0} is an interval around g's minimum z_min,
+    # taken as the largest float when it lies past the float range
+    log_z_min = math.log(c_n * s0 / alpha) / (alpha - 1.0)
+    z_min = math.exp(min(log_z_min, math.log(z_top)))
+    if z_min <= z_k or h(z_min) >= 0.0:
+        return None
+    z1 = bisect(z_k, z_min)
+    bracket = first_sign_change_above(z_min)
+    return (z1, math.inf if bracket is None else bisect(*bracket))

@@ -153,6 +153,24 @@ def test_price_symmetric_method_long_series(tmp_path, capsys):
     assert json.loads(out)["price"] == pytest.approx(ref, rel=1e-11)
 
 
+def test_price_series_past_exp_range(tmp_path, capsys):
+    # lambda* = 50 and T = 15: the Poisson tail bound's head term passes
+    # exp's range near n = 750; the series must price or fail typed
+    cfg = tmp_path / "lam50.cfg"
+    cfg.write_text(
+        "c_plus = 0.55\nc_minus = -0.45\nlambda_plus = 2.0\nlambda_minus = 2.0\n"
+        "h_plus = -0.01\nh_minus = 0.01\nr_plus = 0.05\nr_minus = 0.05\n"
+        "s0 = 100.0\nsigma0 = +1\nmax_terms = 2000\n"
+    )
+    code = main(["price", "--config", str(cfg), "--strike", "100", "--maturity", "15"])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        price = json.loads(captured.out)["price"]
+        assert 100.0 - 100.0 * math.exp(-0.05 * 15) <= price <= 100.0
+
+
 def test_price_arbitrage_exit_code(tmp_path, capsys):
     cfg = tmp_path / "h0.cfg"
     cfg.write_text(CONFIG.replace("h_plus = -0.2", "h_plus = 0.0"))

@@ -6,7 +6,9 @@ import pytest
 from telegraph_market.numerics import (
     gauss_legendre_nodes,
     gauss_legendre_rule,
+    geometric_root,
     log_factorial,
+    poisson_tail_bound,
 )
 
 
@@ -42,3 +44,33 @@ def test_log_factorial_matches_lgamma_at_any_size():
     assert np.array_equal(log_factorial(big)[:, 0], ref)
     assert log_factorial(7) == math.lgamma(8)
     assert np.array_equal(log_factorial(np.arange(10)), small)
+
+
+def test_poisson_tail_bound_past_float_range_is_inf():
+    # log of the head term is about 745 here, past exp's range
+    assert poisson_tail_bound(750.0, 800) == math.inf
+    assert 0.0 < poisson_tail_bound(750.0, 1100) < 1e300
+
+
+def test_geometric_root_smooth_and_jump():
+    calls = []
+
+    def cube(x):
+        calls.append(x)
+        return x**3 - 10.0
+
+    root = geometric_root(cube, 1.0, 4.0, rtol=1e-14)
+    assert abs(root - 10.0 ** (1.0 / 3.0)) <= 2e-14 * root
+    # 2 bracket points, then superlinear steps; bisection would take ~47
+    assert len(calls) <= 12
+    # downward search, and the start's own value passed in
+    root = geometric_root(lambda x: 0.5 - x, 64.0, 0.25, f_start=-63.5, rtol=1e-14)
+    assert abs(root - 0.5) <= 1e-14
+    # a jump instead of a root: the bracket closes on it
+    jump = 2.0 / 3.0
+    root = geometric_root(lambda x: 1.0 if x < jump else -1.0, 0.1, 4.0, rtol=1e-13)
+    assert abs(root - jump) <= 1e-13 * jump
+    # absolute tolerance, and no sign change at all
+    root = geometric_root(lambda x: x - 1e-9, 1e-12, 4.0, rtol=1e-13, abs_tol=1e-12)
+    assert abs(root - 1e-9) <= 1e-12
+    assert geometric_root(lambda x: 1.0 + x, 1.0, 4.0, rtol=1e-13) is None

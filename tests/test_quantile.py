@@ -3,13 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import threshold_bisection
 from telegraph_market.errors import BudgetError
 from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import ModelParams
+from telegraph_market.numerics import geometric_root
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price, call_u_U
 from telegraph_market.quantile import (
     Budget,
+    constrained_capital,
     density_ratio_coeffs,
     insurance_budget,
     solve_budget_gamma,
@@ -248,3 +253,104 @@ def test_atom_granularity_reported():
     perfect = call_price(p, SPEC, CTRL).price
     with pytest.raises(BudgetError):
         solve_budget_gamma(Budget(0.75 * perfect), p, SPEC, CTRL)
+
+
+# the double-threshold market of the fixture above, for the property test
+# (hypothesis does not take function-scoped fixtures)
+DOUBLE = ModelParams(
+    c_plus=0.1, c_minus=-0.4, lambda_plus=1.0, lambda_minus=1.5,
+    h_plus=0.05, h_minus=0.5, r_plus=0.3, r_minus=0.05,
+    s0=100.0, sigma0=-1,
+)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(
+    log10_gamma=st.floats(-6.0, 4.0),
+    # both sides of 1, alpha <= 0 (F convex) and alpha = 1 (closed form);
+    # within 1e-3 of 1 the check's own rounding, about 2 ulp / |alpha - 1|
+    # of the relative step, would reach its 1e-12 bound
+    alpha=st.one_of(
+        st.floats(-2.0, 0.0),
+        st.floats(0.0, 0.98),
+        st.floats(0.98, 0.999),
+        st.just(1.0),
+        st.floats(1.001, 1.02),
+        st.floats(1.02, 4.0),
+    ),
+)
+def test_threshold_roots_match_bisection_oracle(log10_gamma, alpha):
+    from telegraph_market.quantile import _log_slice_coeffs, _moneyness_roots
+
+    intens = martingale_intensities(DOUBLE)
+    _, b = density_ratio_coeffs(DOUBLE, intens)
+    s0, strike = DOUBLE.s0, 95.0
+    log_c = _log_slice_coeffs(40, 10.0**log10_gamma, DOUBLE, intens, -alpha, b, 1.0)
+    z1, z2 = _moneyness_roots(log_c, alpha, s0, strike)
+    for n in range(41):
+        c_n = math.exp(log_c[n])
+        ref = threshold_bisection(c_n, alpha, s0, strike)
+        if ref is None:
+            assert np.isnan(z1[n]) and np.isnan(z2[n])
+            continue
+        roots = ref if isinstance(ref, tuple) else (ref,)
+        got = (z1[n], z2[n]) if isinstance(ref, tuple) else (z1[n],)
+        assert isinstance(ref, tuple) or np.isnan(z2[n])
+        for z, z_ref in zip(got, roots):
+            if math.isinf(z_ref):
+                assert z == math.inf
+                continue
+            # the relative Newton step |g| / (|g'| z) of g(z) = z^alpha -
+            # C_n (S0 z - K), as in test_double_threshold_structure, taken
+            # as g/z so that z^alpha cannot overflow
+            g_over_z = z ** (alpha - 1.0) - c_n * (s0 - strike / z)
+            g_prime = alpha * z ** (alpha - 1.0) - c_n * s0
+            assert abs(g_over_z) <= 1e-12 * abs(g_prime)
+            assert z == pytest.approx(z_ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 2.0, 3.5])
+def test_threshold_window_opens_at_the_tangent_coefficient(alpha):
+    # z^alpha touches C (S0 z - K) at z_e = alpha K / ((alpha - 1) S0) when
+    # C = alpha z_e^(alpha - 1) / S0; just below that C there is no window,
+    # just above it a narrow one around z_e
+    from telegraph_market.quantile import _moneyness_roots
+
+    s0, strike = 100.0, 95.0
+    z_e = alpha * strike / ((alpha - 1.0) * s0)
+    log_c_e = math.log(alpha / s0) + (alpha - 1.0) * math.log(z_e)
+    log_c = log_c_e + np.array([-1e-9, 1e-9])
+    z1, z2 = _moneyness_roots(log_c, alpha, s0, strike)
+    assert np.isnan(z1[0]) and np.isnan(z2[0])
+    assert threshold_bisection(math.exp(log_c[0]), alpha, s0, strike) is None
+    assert z1[1] < z_e < z2[1] < 1.001 * z_e
+    ref = threshold_bisection(math.exp(log_c[1]), alpha, s0, strike)
+    assert ref == pytest.approx((z1[1], z2[1]), rel=1e-9)
+
+
+def test_budget_root_stops_at_the_atom_jump():
+    # test_atom_granularity_reported's market: capital(gamma) jumps across
+    # the budget where the no-switch atom leaves the success set. The root
+    # finder closes its bracket on the jump, and the solve reports it
+    p = ModelParams(
+        c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5,
+        h_plus=-0.2, h_minus=0.4, r_plus=0.08, r_minus=0.05,
+        s0=100.0, sigma0=+1,
+    )
+    from telegraph_market.quantile import _n_cutoff
+
+    intens = martingale_intensities(p)
+    perfect = call_price(p, SPEC, CTRL).price
+    n_max = _n_cutoff(p, intens, SPEC.maturity, CTRL)
+    v0 = 0.75 * perfect
+
+    def excess(gamma):
+        return constrained_capital(gamma, p, SPEC, intens, CTRL, perfect, n_max)[0] - v0
+
+    f1 = excess(1.0)
+    gamma = geometric_root(excess, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=1e-14)
+    assert gamma is not None
+    assert excess(gamma * (1.0 - 2e-14)) > 1e-2 * p.s0
+    assert excess(gamma * (1.0 + 2e-14)) < -1e-2 * p.s0
+    with pytest.raises(BudgetError, match="residual"):
+        solve_budget_gamma(Budget(v0), p, SPEC, CTRL)
