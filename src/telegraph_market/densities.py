@@ -22,6 +22,7 @@ from .numerics import gauss_legendre_nodes, log_factorial
 
 _BESSEL_Z_MAX = 650.0  # I0 overflows float64 not far beyond this
 _MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf``
+_MGF_TAIL_EPS = 1e-10  # ``mgf`` stops once its tail bound is below this share of the sum
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,6 @@ def mgf(
     h_plus: float,
     h_minus: float,
     *,
-    tail_eps: float = 1e-10,
     max_terms: int = 200,
 ) -> float:
     """Moment-generating function of X(t) + ln kappa(t) at argument z.
@@ -323,7 +323,7 @@ def mgf(
             continue
         bound = math.exp(bound_log)
         ratio = math.exp(z * (log_kap[min(n + 1, max_terms)] - log_kap[n])) * lam_max * t / (n + 2)
-        if ratio < 0.5 and bound / (1.0 - ratio) < tail_eps * abs(acc):
+        if ratio < 0.5 and bound / (1.0 - ratio) < _MGF_TAIL_EPS * abs(acc):
             return acc
     raise DivergenceError("mgf series failed to converge within the term budget")
 

@@ -284,12 +284,11 @@ def limit_scaling_check(
     levels: Sequence[int],
     z_values: Sequence[float],
     t_horizon: float,
-    lambda0: float = 1.0,
 ) -> np.ndarray:
     """Relative MGF errors of the scaled telegraph family against the
     Gaussian limit exp(mu z t + v^2 z^2 t / 2), v^2 = v_c^2 + v_a^2.
 
-    Level m uses intensity lambda0 * m, velocities a +- v_c sqrt(lambda) with
+    Level m uses intensity lambda = m, velocities a +- v_c sqrt(lambda) with
     a = mu - v_a sqrt(lambda), and symmetric jump sizes
     h = exp(v_a / sqrt(lambda)) - 1, which reproduce the drift mu exactly and
     the variance v^2 in the limit.
@@ -299,7 +298,7 @@ def limit_scaling_check(
     v2 = v_c**2 + v_a**2
     errors = np.empty((len(levels), len(z_values)))
     for i, m in enumerate(levels):
-        lam = lambda0 * float(m)
+        lam = float(m)
         root = math.sqrt(lam)
         a = mu - v_a * root
         dens = DensityParams(

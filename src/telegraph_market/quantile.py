@@ -5,12 +5,18 @@ gamma times the payoff; per switch count n this reduces to thresholds on the
 terminal moneyness z = S(T)/S0 solving z^{-a} = gamma kappa*_n kappa_n^{-a}
 e^{bT} (S0 z - K)^+. Budgets and success probabilities are then series in n:
 capital terms use martingale-measure quantities, probabilities physical ones.
+
+Both problems solve for gamma the same way: the budget problem matches the
+capital of the success set to the budget, the dual matches its success
+probability to 1 - epsilon. Both fall as gamma grows, so one search with one
+residual check (``_Problem.solve``) serves both and builds the solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -244,7 +250,9 @@ def _n_cutoff(params: ModelParams, intens: MartingaleIntensities,
     for n in range(controls.max_terms + 1):
         if poisson_tail_bound(lam_hi * maturity, n) < controls.tail_epsilon:
             return n
-    raise BudgetError("switch-count series exceeded the term budget")
+    raise TruncationError(
+        f"switch-count series did not meet tail_epsilon within {controls.max_terms} terms"
+    )
 
 
 def _thresholds_for_gamma(
@@ -267,29 +275,31 @@ def _excluded_value(
     thresholds: tuple[Threshold, ...],
     params: ModelParams,
     maturity: float,
-    strike: float,
-    lam_p: float,
-    lam_m: float,
-    r_p: float,
-    r_m: float,
-    capital_weights: bool,
+    intens: MartingaleIntensities | None = None,
+    strike: float = 0.0,
 ) -> float:
     """Series over n of the capital (or probability) mass above the thresholds.
 
-    With capital_weights the terms are S0 U_n - K u_n at the threshold
-    (discounted capital under the martingale measure); otherwise plain u_n
-    gives the physical probability mass.
+    With the martingale intensities the terms are S0 U_n - K u_n at the
+    threshold (discounted capital under the martingale measure); without
+    them plain u_n at the physical intensities gives the probability mass.
     """
     sig = params.sigma0
     cp, cm = params.c_plus, params.c_minus
-    lbp, lbm = tilted_intensities(params, lam_p, lam_m)
 
     def tail_value(y_x: np.ndarray) -> float:
         """Mass of {X(T) > y_x[n], N = n} summed over n (thresholds are
         X-space values, which is exactly the argument convention of u_n)."""
-        u_val = np.sum(series_terms(y_x, maturity, sig, lam_p, lam_m, cp, cm, r_p, r_m))
-        if not capital_weights:
-            return float(u_val)
+        if intens is None:
+            return float(np.sum(series_terms(
+                y_x, maturity, sig, params.lambda_plus, params.lambda_minus,
+                cp, cm, 0.0, 0.0,
+            )))
+        lam_p, lam_m = intens.lambda_star_plus, intens.lambda_star_minus
+        lbp, lbm = tilted_intensities(params, lam_p, lam_m)
+        u_val = np.sum(series_terms(
+            y_x, maturity, sig, lam_p, lam_m, cp, cm, params.r_plus, params.r_minus
+        ))
         u_big = np.sum(series_terms(y_x, maturity, sig, lbp, lbm, cp, cm, 0.0, 0.0))
         return float(params.s0 * u_big - strike * u_val)
 
@@ -318,31 +328,89 @@ def constrained_capital(
     n_max: int,
 ) -> tuple[float, tuple[Threshold, ...]]:
     """Perfect-hedge price of the payoff restricted to the success set."""
+    problem = _Problem(params, spec, intens, perfect_price, n_max)
     thresholds = _thresholds_for_gamma(gamma, params, spec, intens, n_max)
-    excluded = _excluded_value(
-        thresholds, params, spec.maturity, spec.strike,
-        intens.lambda_star_plus, intens.lambda_star_minus,
-        params.r_plus, params.r_minus,
-        capital_weights=True,
-    )
-    return perfect_price - excluded, thresholds
+    return problem.capital(thresholds), thresholds
 
 
 def success_probability(
     solution: QuantileSolution, params: ModelParams
 ) -> float:
     """Physical probability of the success set: 1 minus the excluded mass."""
-    excluded = _excluded_value(
-        solution.thresholds, params, solution.maturity, 0.0,
-        params.lambda_plus, params.lambda_minus,
-        0.0, 0.0,
-        capital_weights=False,
-    )
-    return 1.0 - excluded
+    return 1.0 - _excluded_value(solution.thresholds, params, solution.maturity)
 
 
 def _case_label(a: float) -> str:
     return "double_threshold" if -a > 1.0 else "single_threshold"
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """One call on one market: what every gamma of a solve shares."""
+
+    params: ModelParams
+    spec: CallSpec
+    intens: MartingaleIntensities
+    perfect: float
+    n_max: int
+
+    @classmethod
+    def of(cls, params: ModelParams, spec: CallSpec, controls: SeriesControls) -> _Problem:
+        intens = martingale_intensities(params)
+        perfect = call_price(params, spec, controls).price
+        n_max = _n_cutoff(params, intens, spec.maturity, controls)
+        return cls(params, spec, intens, perfect, n_max)
+
+    def capital(self, thresholds: tuple[Threshold, ...]) -> float:
+        return self.perfect - _excluded_value(
+            thresholds, self.params, self.spec.maturity, self.intens, self.spec.strike
+        )
+
+    def success_probability(self, thresholds: tuple[Threshold, ...]) -> float:
+        return 1.0 - _excluded_value(thresholds, self.params, self.spec.maturity)
+
+    def solve(
+        self,
+        quantity: Callable[[tuple[Threshold, ...]], float],
+        target: float,
+        tol: float,
+        rtol: float,
+        abs_tol: float = 0.0,
+    ) -> QuantileSolution:
+        """Solution at the gamma where ``quantity`` (capital or success
+        probability, both falling in gamma) of the success set meets ``target``.
+
+        Evaluates gamma = 1, steps by x4 or x0.25 toward the sign change and
+        closes the bracket to rtol * gamma + abs_tol (``geometric_root``).
+        Where the quantity jumps across the target (the no-switch atom leaving
+        the success set) that stops next to the jump, and the residual above
+        ``tol`` raises BudgetError.
+        """
+        seen = {}  # gamma -> (thresholds, excess)
+
+        def excess_at(gamma: float) -> float:
+            thresholds = _thresholds_for_gamma(
+                gamma, self.params, self.spec, self.intens, self.n_max
+            )
+            seen[gamma] = thresholds, quantity(thresholds) - target
+            return seen[gamma][1]
+
+        f1 = excess_at(1.0)
+        gamma = geometric_root(
+            excess_at, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=rtol, abs_tol=abs_tol
+        )
+        if gamma is None:
+            raise BudgetError(f"failed to bracket gamma: no success set meets {target:.12g}")
+        thresholds, residual = seen[gamma]  # geometric_root returns a point it evaluated
+        if abs(residual) > tol:
+            raise BudgetError(f"residual {abs(residual):.3g} too large: {target:.12g} falls "
+                              "in the jump where an atom leaves the success set")
+        a, b = density_ratio_coeffs(self.params, self.intens)
+        return QuantileSolution(
+            gamma=gamma, regime_case=_case_label(a), thresholds=thresholds,
+            success_probability=self.success_probability(thresholds),
+            budget=self.capital(thresholds), maturity=self.spec.maturity, a=a, b=b,
+        )
 
 
 def solve_budget_gamma(
@@ -351,55 +419,15 @@ def solve_budget_gamma(
     spec: CallSpec,
     controls: SeriesControls = SeriesControls(),
 ) -> QuantileSolution:
-    """Find gamma so the constrained hedge costs exactly the budget.
-
-    The constrained capital is strictly decreasing in gamma, so Brent's
-    method on a bracket converges unconditionally; residual below 1e-9 * S0.
-    Where the capital jumps past the budget (the atom of a no-switch slice)
-    the root finder stops at the jump and the residual check raises.
-    """
-    intens = martingale_intensities(params)
-    perfect = call_price(params, spec, controls).price
-    if budget.v0 >= perfect:
+    """Find gamma so the constrained hedge costs exactly the budget, to
+    1e-9 * S0; a budget inside the capital's jump at the no-switch atom
+    raises BudgetError."""
+    problem = _Problem.of(params, spec, controls)
+    if budget.v0 >= problem.perfect:
         raise BudgetError(
-            f"budget {budget.v0} must be below the perfect-hedge price {perfect}"
+            f"budget {budget.v0} must be below the perfect-hedge price {problem.perfect}"
         )
-    a, b = density_ratio_coeffs(params, intens)
-    n_max = _n_cutoff(params, intens, spec.maturity, controls)
-
-    def capital_minus_v0(gamma: float) -> float:
-        cap, _ = constrained_capital(
-            gamma, params, spec, intens, controls, perfect, n_max
-        )
-        return cap - budget.v0
-
-    f1 = capital_minus_v0(1.0)
-    # capital decreases in gamma: search upward from 1 when it is too high
-    gamma = geometric_root(
-        capital_minus_v0, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=1e-14
-    )
-    if gamma is None:
-        raise BudgetError("failed to bracket gamma for the budget equation")
-    cap, thresholds = constrained_capital(
-        gamma, params, spec, intens, controls, perfect, n_max
-    )
-    if abs(cap - budget.v0) > 1e-9 * params.s0:
-        raise BudgetError(f"budget residual {abs(cap - budget.v0)} too large")
-    sol = QuantileSolution(
-        gamma=gamma,
-        regime_case=_case_label(a),
-        thresholds=thresholds,
-        success_probability=0.0,
-        budget=cap,
-        maturity=spec.maturity,
-        a=a,
-        b=b,
-    )
-    prob = success_probability(sol, params)
-    return QuantileSolution(
-        gamma=gamma, regime_case=sol.regime_case, thresholds=thresholds,
-        success_probability=prob, budget=cap, maturity=spec.maturity, a=a, b=b,
-    )
+    return problem.solve(problem.capital, budget.v0, tol=1e-9 * params.s0, rtol=1e-14)
 
 
 def solve_dual(
@@ -409,46 +437,14 @@ def solve_dual(
     controls: SeriesControls = SeriesControls(),
 ) -> QuantileSolution:
     """Minimal budget whose optimal success set has shortfall probability
-    epsilon: find gamma with P(success) = 1 - epsilon, then price the
-    restricted claim."""
+    epsilon: the gamma with P(success) = 1 - epsilon, to 1e-9, by the budget
+    solve's search, and the capital of that success set. A cap inside the
+    success probability's jump at the no-switch atom raises BudgetError."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    intens = martingale_intensities(params)
-    perfect = call_price(params, spec, controls).price
-    a, b = density_ratio_coeffs(params, intens)
-    n_max = _n_cutoff(params, intens, spec.maturity, controls)
-
-    def shortfall(gamma: float) -> float:
-        thresholds = _thresholds_for_gamma(gamma, params, spec, intens, n_max)
-        excluded = _excluded_value(
-            thresholds, params, spec.maturity, 0.0,
-            params.lambda_plus, params.lambda_minus, 0.0, 0.0,
-            capital_weights=False,
-        )
-        return excluded - epsilon
-
-    gamma = geometric_root(shortfall, 1e-8, 4.0, rtol=1e-13, abs_tol=1e-12)
-    if gamma is None:
-        raise BudgetError(
-            "infeasible epsilon: shortfall never reaches the target"
-        )
-    cap, thresholds = constrained_capital(
-        gamma, params, spec, intens, controls, perfect, n_max
-    )
-    sol = QuantileSolution(
-        gamma=gamma,
-        regime_case=_case_label(a),
-        thresholds=thresholds,
-        success_probability=0.0,
-        budget=cap,
-        maturity=spec.maturity,
-        a=a,
-        b=b,
-    )
-    prob = success_probability(sol, params)
-    return QuantileSolution(
-        gamma=gamma, regime_case=sol.regime_case, thresholds=thresholds,
-        success_probability=prob, budget=cap, maturity=spec.maturity, a=a, b=b,
+    problem = _Problem.of(params, spec, controls)
+    return problem.solve(
+        problem.success_probability, 1.0 - epsilon, tol=1e-9, rtol=1e-13, abs_tol=1e-12
     )
 
 

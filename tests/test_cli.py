@@ -153,15 +153,19 @@ def test_price_symmetric_method_long_series(tmp_path, capsys):
     assert json.loads(out)["price"] == pytest.approx(ref, rel=1e-11)
 
 
+# lambda* = 50 (c = 0.05 +- 0.5, h = -+0.01) with a 2000-term budget
+LAM50_CONFIG = (
+    "c_plus = 0.55\nc_minus = -0.45\nlambda_plus = 2.0\nlambda_minus = 2.0\n"
+    "h_plus = -0.01\nh_minus = 0.01\nr_plus = 0.05\nr_minus = 0.05\n"
+    "s0 = 100.0\nsigma0 = +1\nmax_terms = 2000\n"
+)
+
+
 def test_price_series_past_exp_range(tmp_path, capsys):
     # lambda* = 50 and T = 15: the Poisson tail bound's head term passes
     # exp's range near n = 750; the series must price or fail typed
     cfg = tmp_path / "lam50.cfg"
-    cfg.write_text(
-        "c_plus = 0.55\nc_minus = -0.45\nlambda_plus = 2.0\nlambda_minus = 2.0\n"
-        "h_plus = -0.01\nh_minus = 0.01\nr_plus = 0.05\nr_minus = 0.05\n"
-        "s0 = 100.0\nsigma0 = +1\nmax_terms = 2000\n"
-    )
+    cfg.write_text(LAM50_CONFIG)
     code = main(["price", "--config", str(cfg), "--strike", "100", "--maturity", "15"])
     captured = capsys.readouterr()
     assert code in (0, 3)
@@ -366,6 +370,33 @@ def test_quantile_infeasible_budget_exit_code(cfg_minus, capsys):
         capsys,
     )
     assert code == 4
+
+
+def test_quantile_cap_in_atom_gap_exit_code(cfg, capsys):
+    # started in the fast regime, P(success) jumps from 1 to 1 - e^{-2} where
+    # the no-switch atom leaves the success set: a 10% shortfall cap has no
+    # solution and must be reported, not returned as P = 0.8647
+    code = main(["quantile", "--config", cfg, "--strike", "100",
+                 "--maturity", "1", "--epsilon", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "infeasible budget: residual" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_quantile_term_budget_exit_code(tmp_path, capsys):
+    # the switch-count cutoff misses tail_epsilon within max_terms: a
+    # numerical failure (exit 3), not an infeasible budget
+    cfg = tmp_path / "lam50.cfg"
+    cfg.write_text(LAM50_CONFIG)
+    code = main(["quantile", "--config", str(cfg), "--strike", "100",
+                 "--maturity", "15", "--budget", "30"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure: switch-count series" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_quantile_survival_pipeline(cfg_minus, capsys):

@@ -165,15 +165,16 @@ def test_full_budget_limit(params):
     assert sol.success_probability > 0.995
 
 
-def test_primal_dual_round_trip(params):
-    perfect = call_price(params, SPEC, CTRL).price
-    sol = solve_budget_gamma(Budget(0.5 * perfect), params, SPEC, CTRL)
-    dual = solve_dual(1.0 - sol.success_probability, params, SPEC, CTRL)
-    assert dual.gamma == pytest.approx(sol.gamma, rel=1e-8)
-    assert dual.budget == pytest.approx(sol.budget, rel=1e-8)
-    assert dual.success_probability == pytest.approx(
-        sol.success_probability, rel=1e-10
-    )
+def test_primal_dual_round_trip(params, double_params):
+    for market in (params, double_params):
+        perfect = call_price(market, SPEC, CTRL).price
+        sol = solve_budget_gamma(Budget(0.5 * perfect), market, SPEC, CTRL)
+        dual = solve_dual(1.0 - sol.success_probability, market, SPEC, CTRL)
+        assert dual.gamma == pytest.approx(sol.gamma, rel=1e-8)
+        assert dual.budget == pytest.approx(sol.budget, rel=1e-8)
+        assert dual.success_probability == pytest.approx(
+            sol.success_probability, rel=1e-10
+        )
 
 
 def test_dual_monotone_in_epsilon(params):
@@ -253,6 +254,14 @@ def test_atom_granularity_reported():
     perfect = call_price(p, SPEC, CTRL).price
     with pytest.raises(BudgetError):
         solve_budget_gamma(Budget(0.75 * perfect), p, SPEC, CTRL)
+    # the same atom makes P(success) jump from 1 to 1 - e^{-2}: shortfall
+    # caps inside that gap are infeasible too, and one outside it solves
+    for eps in (0.05, 0.1):
+        with pytest.raises(BudgetError, match="residual"):
+            solve_dual(eps, p, SPEC, CTRL)
+    assert solve_dual(0.2, p, SPEC, CTRL).success_probability == pytest.approx(
+        0.8, abs=1e-9
+    )
 
 
 # the double-threshold market of the fixture above, for the property test
