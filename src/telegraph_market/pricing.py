@@ -10,18 +10,21 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
 - ``call_value_surface`` and the hedge path use the transport route: each
   term solves a pair of coupled first-order transport equations with a
   combinatorial solution built from confluent hypergeometric functions
-  (``v_n``, ``phi_kn``, ``P_n``, ``hyp1f1``). ``call_u_U`` evaluates it by
-  region: for each n one split of the points at the rays y = c_- t and
-  y = c_+ t serves u and U. Terms above the fast ray are 0. Below the slow
-  ray a term is the full mass rho_n(t), which depends on t alone, so it is
-  read from a table evaluated once per distinct t of the whole call (the
-  backtest's grid times repeat across paths). Only the wedge between the
-  rays evaluates ``v_n``. On the benchmark's hedge inputs (one round,
+  (``v_n``, ``phi_kn``, ``P_n``). Every order of those kernels comes from
+  one table per point set (``_kernel_table``), built by a backward
+  recurrence over the order in O(n) array operations, with large scales
+  folded into its exponent. ``call_u_U`` splits the points at the rays
+  y = c_- t and y = c_+ t once for u and U (``_split``). Terms above the
+  fast ray are 0. Below the slow ray a term is the full mass rho_n(t), which
+  depends on t alone, so the below-ray part of a sum is read from a
+  cumulative table over the distinct t of the whole call (the backtest's
+  grid times repeat across paths). Only the wedge between the rays
+  evaluates ``v_n``. On the benchmark's hedge inputs (one round,
   288 390 points) 86.8% of the (point, n) pairs lie below, 12.3% in the
-  wedge and 0.9% above. The wedge stays on the transport kernels: its 0.81M
-  pairs at 48 Gauss-Legendre nodes would be 39M density evaluations for
-  each of u and U, about 2.6 s each at 67 ns per node, while the kernels
-  take 0.31 s for both (2 vCPU).
+  wedge and 0.9% above. The wedge stays on the transport kernels: its
+  0.81M pairs at 48 Gauss-Legendre nodes would be 39M density evaluations
+  for each of u and U, about 2.6 s each at 67 ns per node, while the
+  kernels take 0.12 s for both (2 vCPU).
 - ``u_n`` / ``U_n`` give single terms through the same region split; they
   are the per-term reference the tests compare the integrated terms with.
 
@@ -115,6 +118,8 @@ def hyp1f1(alpha: float, beta: float, z: np.ndarray | float) -> np.ndarray | flo
     """Confluent hypergeometric 1F1(alpha; beta; z) by its direct series.
 
     Vectorized over z; stops when every term drops below 1e-16 relative.
+    The pricing routes do not call it: they read every order of their
+    kernels from ``_kernel_table``, which has no term budget to exhaust.
     """
     if beta <= 0 and beta == int(beta):
         raise ValueError("beta must not be a nonpositive integer")
@@ -133,47 +138,100 @@ def _m_index(n: int, sigma: Regime) -> int:
     return n // 2 if sigma == +1 else (n - 1) // 2
 
 
+def _kernel_table(
+    p: np.ndarray,
+    n_max: int,
+    a_bar: float,
+    row_scale: np.ndarray | float = 0.0,
+    point_scale: np.ndarray | float = 0.0,
+    n_min: int = 0,
+) -> np.ndarray:
+    """Rows e^{row_scale + point_scale} P_k^{(-)}(p), k = n_min..n_max, over
+    the points p >= 0 (a 1-d array); ``row_scale`` is a scalar or has one
+    entry per row, ``point_scale`` a scalar or one entry per point.
+
+    P_k^{(-)}(p) = (p^k / k!) h_k with h_k = M(m_k + 1, k + 1, -z), z = a_bar p
+    and m_k = (k - 1) // 2, and for k = 2j+1, 2j+2 it is the integral
+    int_0^p e^{-a_bar s} s^j (p - s)^l / (j! l!) ds with l = j, j + 1.
+    Integration by parts and s + (p - s) = p give a three-term recurrence in
+    k (the contiguous relations of M, DLMF 13.3), whose ratios
+    g_k = h_{k+1} / h_k satisfy
+
+        1 / g_k = 1 + z g_{k+1} / (2 (k + 1))   for even k,
+        1 / g_k = 1 - z g_{k+1} / (2 (k + 2))   for odd k.
+
+    h_k is the recurrence's minimal solution, so the ratios are run downward
+    from g = 1 at order n_max + 16 + 2 max|z| (Miller's algorithm; Gil,
+    Segura & Temme, Numerical Methods for Special Functions, ch. 4); against
+    mpmath they reach rounding level from a start at 1.5 max|z|. The loop
+    carries u_k = e_k / g_k with e_k = k + 1 for even k and 1 for odd k,
+    so that a step is the two array operations u_k = e_k +- (z / 2) / u_{k+1}.
+    The rows follow from h_0 = 1, h_1 = -expm1(-z) / z and h_{k+1} = g_k h_k.
+
+    Every row k >= 1 is formed as exp(scale + k log p - log k! +
+    max(-z, 0)) times h_k e^{-max(-z, 0)}: the first factor carries the
+    prefactor and the growth e^{|z|} of h_k for z < 0, the second lies in
+    (0, 1], so a large scale times a small kernel neither overflows nor
+    turns into inf * 0. The relative error is a few ulps of the largest
+    of the scale, k |log p|, log k! and |z|.
+    """
+    z = a_bar * p
+    az = np.abs(z)
+    top = n_max + 16 + math.ceil(2.0 * float(np.max(az, initial=0.0)))
+    h = np.empty((n_max + 1, p.size))
+    e_k = np.where(np.arange(top + 1) % 2 == 0, np.arange(1, top + 2), 1.0)
+    half_z = (0.5 * z, -0.5 * z)  # even, odd k
+    u, spare = np.full(p.size, e_k[top]), np.empty(p.size)
+    for k in range(top - 1, 0, -1):
+        dest = h[k + 1] if k < n_max else spare
+        np.divide(half_z[k % 2], u, out=dest)
+        dest += e_k[k]
+        if dest is spare:
+            u, spare = spare, u
+        else:
+            u = dest
+    if n_max >= 1:
+        with np.errstate(invalid="ignore"):
+            h[1] = np.where(az > 0, -np.expm1(-az) / az, 1.0)
+        np.divide(e_k[1:n_max, None], h[2:], out=h[2:])
+        for row in range(2, n_max + 1):  # np.cumprod along axis 0 is strided
+            h[row] *= h[row - 1]
+    out = np.empty((n_max + 1 - n_min, p.size))
+    body = out[1:] if n_min == 0 else out  # rows k >= 1
+    k = np.arange(n_max + 1 - body.shape[0], n_max + 1)
+    with np.errstate(divide="ignore"):
+        np.multiply(k[:, None], np.log(p), out=body)
+    body -= log_factorial(k)[:, None]
+    body += np.maximum(-z, 0.0) + point_scale
+    if n_min == 0:
+        out[0] = point_scale
+    out += np.broadcast_to(row_scale, out.shape[:1])[:, None]
+    np.exp(out, out=out)
+    body *= h[n_max + 1 - k.size :]
+    return out
+
+
 def P_n(
     t: np.ndarray | float, n: int, sigma: Regime, a_bar: float
 ) -> np.ndarray | float:
     """Time kernel (t^n / n!) 1F1(m+1; n+1; -a_bar t) of the switch-count series.
 
-    The hypergeometric argument is flipped by the Kummer transform whenever
-    a_bar t > 0 so both series branches have nonnegative terms.
+    Row n of ``_kernel_table``. The (+) regime is its mirror image
+    P_n^{(+)}(t; a_bar) = e^{-a_bar t} P_n^{(-)}(t; -a_bar) (substitute
+    s -> t - s in the integral form; Kummer's transform of M).
     """
-    out = _scaled_P_n(t, n, sigma, a_bar, 0.0)
-    return out if np.ndim(t) else float(out)
-
-
-def _scaled_P_n(
-    t: np.ndarray | float,
-    n: int,
-    sigma: Regime,
-    a_bar: float,
-    log_scale: np.ndarray | float,
-) -> np.ndarray:
-    """e^{log_scale} P_n(t), with log_scale folded into the exponent of the
-    prefactor t^n / n!, so that a large scale times a small kernel neither
-    overflows nor turns into inf * 0."""
     check_regime(sigma)
     if n < 0:
         raise ValueError("n must be nonnegative")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
-    m = _m_index(n, sigma)
-    z = -a_bar * t_arr
-    f = np.empty_like(z)
-    pos = z >= 0
-    f[pos] = hyp1f1(m + 1, n + 1, z[pos])
-    f[~pos] = np.exp(z[~pos]) * hyp1f1(n - m, n + 1, -z[~pos])
-    if n == 0:
-        return np.exp(log_scale) * f
-    safe_t = np.where(t_arr > 0, t_arr, 1.0)
-    pref = np.where(
-        t_arr > 0, np.exp(log_scale + n * np.log(safe_t) - log_factorial(n)), 0.0
-    )
-    return pref * f
+    flat = t_arr.ravel()
+    if sigma == -1:
+        row = _kernel_table(flat, n, a_bar, n_min=n)[0]
+    else:
+        row = _kernel_table(flat, n, -a_bar, point_scale=-a_bar * flat, n_min=n)[0]
+    return row.reshape(t_arr.shape) if np.ndim(t) else float(row[0])
 
 
 def beta_coeff(k: int, j: int) -> float:
@@ -190,6 +248,45 @@ def beta_coeff(k: int, j: int) -> float:
     return pochhammer(k - j, half) / math.factorial(half)
 
 
+def _beta_table(k_max: int) -> np.ndarray:
+    """beta_coeff(k, j) at [k, j] for 0 <= j < k <= k_max, 0 elsewhere.
+    Raises TruncationError when a coefficient overflows."""
+    table = np.zeros((k_max + 1, k_max))
+    try:
+        for k in range(1, k_max + 1):
+            table[k, :k] = [beta_coeff(k, j) for j in range(k)]
+    except OverflowError:
+        raise TruncationError(
+            f"transport kernel coefficient beta_{{{k},j}} overflowed; the term "
+            "budget reaches past the range of the transport route"
+        ) from None
+    return table
+
+
+def _fill_phi(
+    out: np.ndarray, ks: np.ndarray, n: int, a_bar: float, beta: np.ndarray
+) -> None:
+    """Write the coefficients of phi_{k,n} for k in ``ks`` over the kernel
+    orders into the rows of ``out`` (columns indexed by order):
+    a_bar^{k-j-1} beta_{k,j} at order 2n - j for j < k, and 1 at order 2n + 1
+    for k = 0, which may only come first in the ascending ``ks``. ``beta``
+    is a ``_beta_table`` reaching max(ks). Raises TruncationError when a
+    coefficient overflows."""
+    j = np.arange(int(ks.max(initial=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = a_bar ** np.maximum(ks[:, None] - 1 - j, 0) * beta[ks, : j.size]
+    bad = ~np.isfinite(coef).all(axis=1)
+    if bad.any():
+        raise TruncationError(
+            f"transport kernel phi_{{{ks[bad][0]},{n}}} overflowed; the term "
+            "budget reaches past the range of the transport route"
+        )
+    out[:, 2 * n - j] = coef
+    if ks.size and ks[0] == 0:
+        # odd orders have the same index m in both regimes: P^{(+)} = P^{(-)}
+        out[0, 2 * n + 1] = 1.0
+
+
 def phi_kn(
     k: int,
     n: int,
@@ -202,36 +299,25 @@ def phi_kn(
 
     phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1.
     ``cache`` maps orders to the kernels P_order^{(-)}(p) already evaluated on
-    the same p; ``v_n`` passes one per call, since its phi sums reuse the
-    kernels of many orders. Raises TruncationError when a coefficient
+    the same p, so that several phi on one p share them; missing orders come
+    from one ``_kernel_table``. Raises TruncationError when a coefficient
     overflows.
     """
     if k < 0 or k > n:
         raise ValueError("phi_kn requires 0 <= k <= n")
     p_arr = np.asarray(p, dtype=float)
+    coef = np.zeros((1, 2 * n + 2))
+    _fill_phi(coef, np.array([k]), n, a_bar, _beta_table(k))
+    orders = [2 * n + 1] if k == 0 else range(2 * n, 2 * n - k, -1)
     if cache is None:
         cache = {}
-
-    def kernel(order: int) -> np.ndarray:
-        if order not in cache:
-            cache[order] = np.asarray(P_n(p_arr, order, -1, a_bar))
-        return cache[order]
-
-    if k == 0:
-        # odd orders have the same index m in both regimes: P^{(+)} = P^{(-)}
-        acc = kernel(2 * n + 1)
-    else:
-        acc = np.zeros_like(p_arr)
-        try:
-            for j in range(k):
-                acc = acc + a_bar ** (k - j - 1) * beta_coeff(k, j) * kernel(
-                    2 * n - j
-                )
-        except OverflowError:
-            raise TruncationError(
-                f"transport kernel phi_{{{k},{n}}} overflowed; the term budget "
-                "reaches past the range of the transport route"
-            ) from None
+    missing = [o for o in orders if o not in cache]
+    if missing:
+        lo = min(missing)
+        table = _kernel_table(p_arr.ravel(), max(missing), a_bar, n_min=lo)
+        for o in missing:
+            cache[o] = table[o - lo].reshape(p_arr.shape)
+    acc = sum(coef[0, o] * cache[o] for o in orders)
     return acc if np.ndim(p) else float(acc)
 
 
@@ -254,36 +340,98 @@ def v_n(
     )
     if np.any(p_arr < 0) or np.any(q_arr < 0):
         raise ValueError("v_n is defined for p, q >= 0")
+    out = _scaled_v_n(p_arr.ravel(), q_arr.ravel(), n, sigma, float(a_bar))
+    return float(out[0]) if scalar else out.reshape(p_arr.shape)
+
+
+def _scaled_v_n(
+    p: np.ndarray,
+    q: np.ndarray,
+    n: int,
+    sigma: Regime,
+    a_bar: float,
+    log_lam: float = 0.0,
+    rate_q: float = 0.0,
+    rate_p: float = 0.0,
+    beta: np.ndarray | None = None,
+) -> np.ndarray:
+    """e^{log_lam - rate_q q - rate_p p} v_n(p, q) on 1-d arrays p, q >= 0;
+    ``beta`` is a ``_beta_table`` reaching n // 2 (built here when not given).
+
+    v_n = P_n^{(sigma)}(p) + sum_k (q^k / k!) phi_k(p), with phi_{k,m} for
+    odd n = 2m + 1, phi_{k+1,m} (k < m) for sigma = -1 and phi_{k-1,m-1} for
+    sigma = +1 at n = 2m; P_n^{(+)} = P_n^{(-)} - a_bar P_{n+1}^{(-)} at
+    even n. Every term is a q-weight times a coefficient times one row of
+    a single ``_kernel_table``, so the sum is one (terms x orders) matrix
+    product. v_n is homogeneous of degree n in (p, q, 1 / a_bar), so with
+    lam = e^{log_lam / n} the weights are (lam q)^k / k! e^{-rate_q q}, the
+    rows lam^o P_o(p) e^{-rate_p p} and the coefficients taken at
+    a_bar / lam: none of the three overflows where e^{log_lam} alone would.
+    """
     if n == 0:
-        out = np.exp(-a_bar * p_arr) if sigma == +1 else np.zeros_like(p_arr)
-        return float(out) if scalar else out
-
-    cache: dict[int, np.ndarray] = {}
-    acc = np.asarray(P_n(p_arr, n, sigma, a_bar))
-    qk = np.ones_like(q_arr)
+        if sigma == -1:
+            return np.zeros(p.size)
+        return np.exp(log_lam - rate_q * q - (rate_p + a_bar) * p)
+    log_hat = log_lam / n
+    a_hat = a_bar * math.exp(-log_hat)
+    m = n // 2
     if n % 2 == 1:
-        m = (n - 1) // 2
-        for k in range(1, m + 1):
-            qk = qk * q_arr / k
-            acc = acc + qk * phi_kn(k, m, p_arr, a_bar, cache=cache)
+        ks, m_phi = np.arange(1, m + 1), m
     elif sigma == -1:
-        m = n // 2
-        for k in range(1, m):
-            qk = qk * q_arr / k
-            acc = acc + qk * phi_kn(k + 1, m, p_arr, a_bar, cache=cache)
+        ks, m_phi = np.arange(2, m + 1), m
     else:
-        m = n // 2
-        for k in range(1, m + 1):
-            qk = qk * q_arr / k
-            acc = acc + qk * phi_kn(k - 1, m - 1, p_arr, a_bar, cache=cache)
-    return float(acc) if scalar else acc
+        ks, m_phi = np.arange(0, m), m - 1
+    if beta is None:
+        beta = _beta_table(n // 2)
+    top = n + 1 if n % 2 == 0 and sigma == +1 else n
+    coef = np.zeros((ks.size + 1, top + 1))
+    coef[0, n] = 1.0
+    if top > n:
+        coef[0, top] = -a_hat
+    _fill_phi(coef[1:], ks, m_phi, a_hat, beta)
+    lo = m if n % 2 == 0 and sigma == +1 else m + 1  # lowest order in use
+    coef = coef[:, lo : top + 1]
+    table = _kernel_table(
+        p, top, a_bar, np.arange(lo, top + 1) * log_hat, -rate_p * p, n_min=lo
+    )
+    k = np.arange(1, ks.size + 1)
+    weights = np.empty((k.size + 1, q.size))
+    weights[0] = -rate_q * q
+    with np.errstate(divide="ignore"):
+        np.multiply(k[:, None], log_hat + np.log(q), out=weights[1:])
+    weights[1:] -= log_factorial(k)[:, None]
+    weights[1:] += weights[0]
+    np.exp(weights, out=weights)
+    return np.einsum("kp,kp->p", weights, coef @ table)
 
 
-def _log_lambda_n(n: int, sigma: Regime, lam_p: float, lam_m: float) -> float:
+def _log_lambda_n(
+    n: int | np.ndarray, sigma: Regime, lam_p: float, lam_m: float
+) -> float | np.ndarray:
     """log of Lambda_n = lam_sigma^{ceil(n/2)} lam_{-sigma}^{floor(n/2)}."""
     lam_s = lam_p if sigma == +1 else lam_m
     lam_o = lam_m if sigma == +1 else lam_p
-    return math.ceil(n / 2) * math.log(lam_s) + (n // 2) * math.log(lam_o)
+    return ((n + 1) // 2) * math.log(lam_s) + (n // 2) * math.log(lam_o)
+
+
+def _rho_rows(
+    t: np.ndarray,
+    n_max: int,
+    sigma: Regime,
+    lam_p: float,
+    lam_m: float,
+    r_p: float,
+    r_m: float,
+) -> np.ndarray:
+    """Full-mass terms rho_k(t), k = 0..n_max, over the 1-d times t: the rows
+    of one ``_kernel_table`` with log Lambda_k and the discount in its scale.
+    The (+) regime reads the mirror table P_k^{(+)}(t; a_bar) =
+    e^{-a_bar t} P_k^{(-)}(t; -a_bar)."""
+    a_bar = (lam_p + r_p) - (lam_m + r_m)
+    log_lam = _log_lambda_n(np.arange(n_max + 1), sigma, lam_p, lam_m)
+    if sigma == -1:
+        return _kernel_table(t, n_max, a_bar, log_lam, -(lam_m + r_m) * t)
+    return _kernel_table(t, n_max, -a_bar, log_lam, -(lam_p + r_p) * t)
 
 
 def rho_n(
@@ -297,64 +445,78 @@ def rho_n(
 ) -> np.ndarray | float:
     """Full-mass term rho_n = e^{-(lam_- + r_-) t} Lambda_n P_n(t).
 
-    log Lambda_n and the discount enter P_n's prefactor exponent, so large n
+    log Lambda_n and the discount enter the kernel's exponent, so large n
     gives a finite term where Lambda_n alone overflows.
     """
-    a_bar = (lam_p + r_p) - (lam_m + r_m)
+    check_regime(sigma)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     t_arr = np.asarray(t, dtype=float)
-    out = _scaled_P_n(
-        t_arr, n, sigma, a_bar,
-        _log_lambda_n(n, sigma, lam_p, lam_m) - (lam_m + r_m) * t_arr,
-    )
-    return out if np.ndim(t) else float(out)
+    if np.any(t_arr < 0):
+        raise ValueError("t must be nonnegative")
+    row = _rho_rows(t_arr.ravel(), n, sigma, lam_p, lam_m, r_p, r_m)[n]
+    return row.reshape(t_arr.shape) if np.ndim(t) else float(row[0])
 
 
-class _Regions(NamedTuple):
-    """Points (y, t) split at the rays y = c_- t and y = c_+ t.
+class _Split(NamedTuple):
+    """Points (y - b_n, t) of a sequence of log-strike shifts b_n, split at
+    the rays y = c_- t and y = c_+ t.
 
-    ``wedge`` indexes the points with c_- t <= y <= c_+ t (rays included),
-    at transport coordinates p = (c_+ t - y) / dc and q = (y - c_- t) / dc;
-    ``below`` indexes the points with y < c_- t. The rest lie above the fast
-    ray, where every term is 0. With c_+ = c_- the wedge is empty and the
-    ray itself counts as below.
+    For a given n a point lies in the wedge where c_- t <= y - b_n <= c_+ t
+    (rays included), below the slow ray where y - b_n < c_- t, and above the
+    fast ray, where every term is 0, otherwise. With c_+ = c_- the wedge is
+    empty and the ray itself counts as below.
+
+    ``wedge[n]`` indexes the points in the wedge for n, at transport
+    coordinates ``p[n]`` = (c_+ t - y + b_n) / dc and
+    ``q[n]`` = (y - b_n - c_- t) / dc. ``order`` lists n by descending b_n;
+    a point lies below the slow ray for the first ``below`` of them.
     """
 
-    wedge: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    wedge: list[np.ndarray]
+    p: list[np.ndarray]
+    q: list[np.ndarray]
+    order: np.ndarray
     below: np.ndarray
 
 
-def _regions(y: np.ndarray, t: np.ndarray, c_p: float, c_m: float) -> _Regions:
+def _split(
+    y: np.ndarray, t: np.ndarray, b: np.ndarray, c_p: float, c_m: float
+) -> _Split:
+    lo = y - c_p * t  # b_n >= lo: on or below the fast ray
+    hi = y - c_m * t  # b_n > hi: below the slow ray
+    order = np.argsort(-b, kind="stable")
+    below = np.searchsorted(-b[order], -hi, side="right" if c_p == c_m else "left")
     if c_p == c_m:
-        none = np.empty(0)
-        return _Regions(none.astype(np.intp), none, none, np.flatnonzero(y <= c_p * t))
+        none = [np.empty(0, dtype=np.intp)] * b.size
+        return _Split(none, none, none, order, below)
+    # one comparison per n keeps every temporary at the size of the points
+    wedge = [np.flatnonzero((lo <= b_n) & (hi >= b_n)) for b_n in b]
     dc = c_p - c_m
-    p = (c_p * t - y) / dc
-    q = (y - c_m * t) / dc
-    wedge = np.flatnonzero((p >= 0) & (q >= 0))
-    return _Regions(wedge, p[wedge], q[wedge], np.flatnonzero(q < 0))
+    p = [(b_n - lo[w]) / dc for b_n, w in zip(b, wedge)]
+    q = [(hi[w] - b_n) / dc for b_n, w in zip(b, wedge)]
+    return _Split(wedge, p, q, order, below)
 
 
 def _wedge_term(
-    reg: _Regions,
+    p: np.ndarray,
+    q: np.ndarray,
     n: int,
     sigma: Regime,
     lam_p: float,
     lam_m: float,
     r_p: float,
     r_m: float,
+    beta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """u_n at the wedge points of ``reg``: Lambda_n e^{-(lam_+ + r_+) q
-    - (lam_- + r_-) p} v_n(p, q)."""
-    if reg.wedge.size == 0:
+    """u_n at wedge points (p, q): Lambda_n e^{-(lam_+ + r_+) q
+    - (lam_- + r_-) p} v_n(p, q); ``beta`` as in ``_scaled_v_n``."""
+    if p.size == 0:
         return np.empty(0)
-    a_bar = (lam_p + r_p) - (lam_m + r_m)
-    return np.exp(
-        _log_lambda_n(n, sigma, lam_p, lam_m)
-        - (lam_p + r_p) * reg.q
-        - (lam_m + r_m) * reg.p
-    ) * v_n(reg.p, reg.q, n, sigma, a_bar)
+    return _scaled_v_n(
+        p, q, n, sigma, (lam_p + r_p) - (lam_m + r_m),
+        _log_lambda_n(n, sigma, lam_p, lam_m), lam_p + r_p, lam_m + r_m, beta,
+    )
 
 
 def u_n(
@@ -371,7 +533,7 @@ def u_n(
 ) -> np.ndarray | float:
     """n-switch term of the discounted exercise-probability series.
 
-    Region dispatch (``_regions``): 0 above the fast ray (y > c_+ t), the
+    Region dispatch (``_split``): 0 above the fast ray (y > c_+ t), the
     full-mass value rho_n below the slow ray (y < c_- t), and the wedge
     kernel in between (boundaries included in the wedge).
     """
@@ -385,10 +547,13 @@ def u_n(
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
     t_flat = t_arr.ravel()
-    reg = _regions(y_arr.ravel(), t_flat, c_p, c_m)
+    split = _split(y_arr.ravel(), t_flat, np.zeros(1), c_p, c_m)
     out = np.zeros(t_flat.size)
-    out[reg.wedge] = _wedge_term(reg, n, sigma, lam_p, lam_m, r_p, r_m)
-    out[reg.below] = rho_n(t_flat[reg.below], n, sigma, lam_p, lam_m, r_p, r_m)
+    out[split.wedge[0]] = _wedge_term(
+        split.p[0], split.q[0], n, sigma, lam_p, lam_m, r_p, r_m
+    )
+    below = split.below > 0
+    out[below] = rho_n(t_flat[below], n, sigma, lam_p, lam_m, r_p, r_m)
     return float(out[0]) if scalar else out.reshape(y_arr.shape)
 
 
@@ -534,8 +699,8 @@ class _FullMasses:
 
     Below the slow ray a term depends on s alone, and points share few
     distinct s (the backtest's grid times repeat across paths), so each row
-    is evaluated once per s. Row n = 0, 1, ... is added when a series first
-    needs it; ``rho_n`` builds every row.
+    is evaluated once per s. Both tables come from one ``_rho_rows`` each,
+    rebuilt to the longer length when a series needs more rows.
     """
 
     def __init__(
@@ -550,14 +715,13 @@ class _FullMasses:
         self.sigma = sigma
         self.u_rates = (lsp, lsm, params.r_plus, params.r_minus)
         self.U_rates = (*tilted_intensities(params, lsp, lsm), 0.0, 0.0)
-        self.u_rows: list[np.ndarray] = []
-        self.U_rows: list[np.ndarray] = []
+        self.u_rows = self.U_rows = np.empty((0, self.times.size))
 
-    def rows(self, n_max: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def rows(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows n = 0..n_max (at least) of the u and U tables."""
-        for n in range(len(self.u_rows), n_max + 1):
-            self.u_rows.append(rho_n(self.times, n, self.sigma, *self.u_rates))
-            self.U_rows.append(rho_n(self.times, n, self.sigma, *self.U_rates))
+        if len(self.u_rows) <= n_max:
+            self.u_rows = _rho_rows(self.times, n_max, self.sigma, *self.u_rates)
+            self.U_rows = _rho_rows(self.times, n_max, self.sigma, *self.U_rates)
         return self.u_rows, self.U_rows
 
 
@@ -575,13 +739,14 @@ def call_u_U(
     """Sums (u, U) of the u and U series at kappa-shifted arguments y - b_n,
     by the transport route on arrays of points.
 
-    Terms are summed in ascending n up to the stopping index of
-    ``_series_length``. For each n one region split (``_regions``) serves
-    u and U: points below the slow ray read the full-mass tables ``masses``
-    (built here over t's distinct values when not given; a caller that
-    splits a large array passes one table for all its parts), and only the
-    wedge points evaluate the transport kernel ``v_n``. Raises TruncationError
-    when a sum is not finite.
+    Terms run up to the stopping index of ``_series_length``. One split of
+    the points (``_split``) serves u and U. Below the slow ray a term is the
+    full mass of the point's time to maturity, so the below-ray part of a
+    sum is one read of the cumulative full-mass table ``masses`` (built here
+    over t's distinct values when not given; a caller that splits a large
+    array passes one table for all its parts). Only the wedge points
+    evaluate the transport kernel, one ``_kernel_table`` per n. Raises
+    TruncationError when a sum is not finite.
     """
     check_regime(sigma)
     y_arr, t_arr = np.broadcast_arrays(
@@ -597,21 +762,23 @@ def call_u_U(
     if masses is None:
         masses = _FullMasses(t_flat, sigma, params, intens)
     t_pos = np.searchsorted(masses.times, t_flat)  # every t is one of the times
-    u_rows, U_rows = masses.rows(n_used)
     b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
-    cp, cm = params.c_plus, params.c_minus
-
-    u_sum = np.zeros(t_flat.size)
-    U_sum = np.zeros(t_flat.size)
-    for n in range(n_used + 1):
-        reg = _regions(y_flat - b[n], t_flat, cp, cm)
-        below_pos = t_pos[reg.below]
-        for total, row, rates in (
-            (u_sum, u_rows[n], masses.u_rates),
-            (U_sum, U_rows[n], masses.U_rates),
-        ):
-            total[reg.wedge] += _wedge_term(reg, n, sigma, *rates)
-            total[reg.below] += row[below_pos]
+    split = _split(y_flat, t_flat, b, params.c_plus, params.c_minus)
+    wedge_n = [n for n, w in enumerate(split.wedge) if w.size]
+    beta = _beta_table(wedge_n[-1] // 2) if wedge_n else None
+    sums = []
+    for rows, rates in zip(masses.rows(n_used), (masses.u_rates, masses.U_rates)):
+        # cum[i] sums the rows of the first i shifts in ``split.order``
+        cum = np.zeros((n_used + 2, masses.times.size))
+        for i, n in enumerate(split.order):  # np.cumsum along axis 0 is strided
+            np.add(cum[i], rows[n], out=cum[i + 1])
+        total = cum[split.below, t_pos]
+        for n in wedge_n:
+            total[split.wedge[n]] += _wedge_term(
+                split.p[n], split.q[n], n, sigma, *rates, beta
+            )
+        sums.append(total)
+    u_sum, U_sum = sums
     if not (np.isfinite(u_sum).all() and np.isfinite(U_sum).all()):
         raise TruncationError(f"transport series overflowed within {n_used + 1} terms")
     shape = y_arr.shape
@@ -645,10 +812,12 @@ def call_price(
     lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
     lbp, lbm = tilted_intensities(params, lsp, lsm)
     if cp == cm:
-        u_terms, U_terms = np.zeros((2, n_used + 1))
-        for n in np.flatnonzero(shifted <= cp * T):
-            u_terms[n] = rho_n(T, n, sigma, lsp, lsm, params.r_plus, params.r_minus)
-            U_terms[n] = rho_n(T, n, sigma, lbp, lbm, 0.0, 0.0)
+        at_T = np.array([T])
+        live = shifted <= cp * T
+        u_rows = _rho_rows(at_T, n_used, sigma, lsp, lsm, params.r_plus, params.r_minus)
+        U_rows = _rho_rows(at_T, n_used, sigma, lbp, lbm, 0.0, 0.0)
+        u_terms = np.where(live, u_rows[:, 0], 0.0)
+        U_terms = np.where(live, U_rows[:, 0], 0.0)
     else:
         u_terms = series_terms(
             shifted, T, sigma, lsp, lsm, cp, cm, params.r_plus, params.r_minus
@@ -727,12 +896,13 @@ def call_value_surface(
         s_flat = s.ravel()[live]
         vals = np.empty(live.size)
         masses = _FullMasses(s_flat, sigma, params, intens)
-        # one full-mass table serves every chunk. Each series term makes a
-        # dozen temporaries of a chunk's size (the region split, the gathered
-        # masses, the v_n kernel cache of the wedge points); 256 KB arrays
-        # keep that working set small enough for the allocator to reuse heap
-        # memory instead of returning it to the OS and faulting it back in
-        # on every term
+        # one full-mass table serves every chunk. Each series term makes
+        # temporaries of a chunk's size (the region split, the gathered
+        # masses) and a kernel table over the chunk's wedge points, which
+        # the allocator may return to the OS and fault back in on every
+        # term. On the benchmark's hedge round (2 vCPU) 2^14 points fault
+        # about a third as many pages as 2^15 but run slower, and 2^16
+        # fault more and run no faster
         chunk = 1 << 15
         for i in range(0, live.size, chunk):
             xc = x_flat[i : i + chunk]
@@ -922,9 +1092,9 @@ def european_price_F(
         # deterministic log-price drift; only the switch count is random
         acc = 0.0
         grow = math.exp(c_sig * s)
+        masses = _rho_rows(np.array([s]), controls.max_terms, sigma, lsp, lsm, 0.0, 0.0)
         for n in range(controls.max_terms + 1):
-            mass = rho_n(s, n, sigma, lsp, lsm, 0.0, 0.0)
-            acc += mass * float(payoff(x * grow * kap[n]))
+            acc += masses[n, 0] * float(payoff(x * grow * kap[n]))
             if poisson_tail_bound(max(lsp, lsm) * s, n) < controls.tail_epsilon:
                 return math.exp(-r_sig * s) * acc
         raise TruncationError("payoff series exceeded the term budget")

@@ -175,6 +175,27 @@ def test_price_series_past_exp_range(tmp_path, capsys):
         assert 100.0 - 100.0 * math.exp(-0.05 * 15) <= price <= 100.0
 
 
+def test_price_symmetric_method_lambda_50_clean_stderr(tmp_path):
+    # lambda* = 50 at T = 3: Lambda_n passes the float range in the transport
+    # route's wedge within the 260-term series. The symmetric method prices,
+    # agreeing with the series, and numpy prints no warning on the way; run
+    # as a separate process, since pytest would capture the warnings itself
+    cfg = tmp_path / "lam50.cfg"
+    cfg.write_text(LAM50_CONFIG.replace("max_terms = 2000\n", ""))
+    src = str(Path(telegraph_market.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "telegraph_market.cli", "price", "--config", str(cfg),
+         "--strike", "100", "--maturity", "3", "--method", "symmetric"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert "RuntimeWarning" not in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    params, controls = parse_config(cfg.read_text())
+    ref = call_price(params, CallSpec(strike=100.0, maturity=3.0), controls).price
+    assert json.loads(done.stdout)["price"] == pytest.approx(ref, rel=1e-11)
+
+
 def test_price_arbitrage_exit_code(tmp_path, capsys):
     cfg = tmp_path / "h0.cfg"
     cfg.write_text(CONFIG.replace("h_plus = -0.2", "h_plus = 0.0"))

@@ -169,6 +169,76 @@ def test_rho_n_where_lambda_n_overflows(n, sigma):
     assert got == pytest.approx(ref, rel=1e-11)
 
 
+def _mp_P_n(mp, t, n, sigma, a_bar):
+    """P_n^{(sigma)}(t) = (t^n / n!) M(m + 1, n + 1, -a_bar t) in mpmath."""
+    m = n // 2 if sigma == +1 else (n - 1) // 2
+    t = mp.mpf(t)
+    return t**n / mp.factorial(n) * mp.hyp1f1(m + 1, n + 1, -mp.mpf(a_bar) * t)
+
+
+_TABLE_ORDERS = (0, 1, 2, 3, 4, 5, 12, 13, 101, 102, 300, 301, 599, 600)
+
+
+def test_kernel_table_against_mpmath():
+    # every row of one table at orders up to 600 and |a_bar| p up to 1000, for
+    # both signs of a_bar, a_bar = 0 and p = 0; for a_bar < 0 the point scale
+    # e^{-|a_bar| p} keeps the rows in range (P_1 ~ e^{1000} / 40 alone is
+    # not). Entries whose reference leaves the float range are only checked
+    # to be negligible
+    mp = pytest.importorskip("mpmath")
+    for a_bar, p_max in ((-40.0, 25.0), (-2.5, 400.0), (0.0, 300.0),
+                         (2.5, 400.0), (40.0, 25.0)):
+        p = np.array([0.0, 1e-3, 0.7, p_max / 4, p_max])
+        scale = np.minimum(a_bar * p, 0.0)
+        table = pricing._kernel_table(p, 600, a_bar, point_scale=scale)
+        assert table[0, 0] == 1.0 and not table[1:, 0].any()
+        with mp.workdps(30):
+            for i in range(1, p.size):
+                for k in _TABLE_ORDERS:
+                    ref = _mp_P_n(mp, p[i], k, -1, a_bar) * mp.exp(scale[i])
+                    if ref > 1e-290:
+                        assert table[k, i] == pytest.approx(float(ref), rel=1e-12)
+                    else:
+                        assert table[k, i] < 1e-280
+
+
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_rho_n_both_regimes_against_mpmath(sigma):
+    # rho_n reads the (-) table for sigma = -1 and its mirror at -a_bar for
+    # sigma = +1; |a_bar| t reaches 1000 with either sign of a_bar
+    mp = pytest.importorskip("mpmath")
+    r = 0.05
+    for lam_p, lam_m, t in ((41.0, 1.0, 25.0), (1.0, 41.0, 25.0), (3.0, 3.0, 90.0)):
+        lam_s, lam_o = (lam_p, lam_m) if sigma == +1 else (lam_m, lam_p)
+        with mp.workdps(30):
+            for n in _TABLE_ORDERS:
+                ref = (
+                    mp.exp(-(lam_m + r) * t)
+                    * mp.mpf(lam_s) ** (n - n // 2) * mp.mpf(lam_o) ** (n // 2)
+                    * _mp_P_n(mp, t, n, sigma, lam_p - lam_m)
+                )
+                got = rho_n(t, n, sigma, lam_p, lam_m, r, r)
+                if ref > 1e-290:
+                    assert got == pytest.approx(float(ref), rel=1e-12)
+                else:
+                    assert got < 1e-280
+
+
+def test_rho_n_past_the_direct_series_range():
+    # z = -a_bar t = -475: the direct hyp1f1 series exhausts its 500 terms
+    # here, the kernel table does not
+    mp = pytest.importorskip("mpmath")
+    t, n, lam_p, lam_m, r = 25.0, 500, 20.0, 1.0, 0.05
+    with pytest.raises(TruncationError):
+        hyp1f1(n // 2 + 1, n + 1, -(lam_p - lam_m) * t)
+    with mp.workdps(30):
+        ref = (
+            mp.exp(-(lam_m + r) * t) * mp.mpf(lam_p) ** (n // 2)
+            * mp.mpf(lam_m) ** (n // 2) * _mp_P_n(mp, t, n, +1, lam_p - lam_m)
+        )
+    assert rho_n(t, n, +1, lam_p, lam_m, r, r) == pytest.approx(float(ref), rel=1e-12)
+
+
 # --- series terms against quadrature oracles --------------------------------
 
 PARAM_SETS = [
