@@ -4,7 +4,10 @@ diffusion-limit check of the scaled telegraph family.
 
 Simulation is block-based: paths are generated in fixed-size blocks with
 counter-based RNG streams keyed by (seed, block index) and reduced in block
-order, so estimates are bit-identical for any worker count.
+order, so estimates are bit-identical for any worker count. Every estimator
+evaluates a whole block at once; the arbitrage demonstration reads each
+block's strategy profits from one running sum of the log-price events and
+two first crossings, with exact trades at the levels.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .densities import DensityParams, mgf
 from .measure import martingale_intensities
 from .model import ModelParams, PathState, sample_switch_times, switch_state
-from .quantile import QuantileSolution
+from .quantile import QuantileSolution, Threshold
 
 _BLOCK_SIZE = 1 << 14
 
@@ -141,18 +144,30 @@ def mc_success_probability(
     x = PathState(params.sigma0, solution.maturity, n_sw, occ0).telegraph(
         params.c_plus, params.c_minus
     )
-    inside = np.ones(n_paths, dtype=bool)
-    for n, thr in enumerate(solution.thresholds):
-        mask = n_sw == n
-        if thr is None or not np.any(mask):
-            continue
-        if isinstance(thr, tuple):
-            inside[mask] = (x[mask] <= thr[0]) | (x[mask] >= thr[1])
-        else:
-            inside[mask] = x[mask] <= thr
-    # switch counts beyond the stored range are treated as fully included,
-    # matching the series form (their total mass is below the series tail)
+    inside = _in_success_set(solution.thresholds, n_sw, x)
     return _estimate(inside.astype(float), seed)
+
+
+def _in_success_set(
+    thresholds: Sequence[Threshold], n_sw: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Whether each terminal (N(T), X(T)) lies in the success set.
+
+    Switch count n maps to bounds (lo, hi) with inclusion iff x <= lo or
+    x >= hi: a threshold y gives (y, inf), a pair is itself, and None (fully
+    included) gives (inf, inf). Switch counts beyond the stored range read
+    one more None: they are treated as fully included, matching the series
+    form (their total mass is below the series tail).
+    """
+
+    def bounds(thr: Threshold) -> tuple[float, float]:
+        if thr is None:
+            return math.inf, math.inf
+        return thr if isinstance(thr, tuple) else (thr, math.inf)
+
+    lo, hi = np.array([bounds(thr) for thr in (*thresholds, None)]).T
+    n = np.minimum(n_sw, len(thresholds))
+    return (x <= lo[n]) | (x >= hi[n])
 
 
 @dataclass(frozen=True)
@@ -177,6 +192,11 @@ def arbitrage_demo(
     """Zero-initial-capital strategy: buy one share when S first reaches
     level_a, sell at the first later time S returns to level_a, reaches
     level_b, or at the horizon.
+
+    Each block of paths is evaluated in one array pass over its switch-time
+    matrix (`_block_profits`). Level crossings inside a segment are exact:
+    a share bought or sold there trades at exactly A or B, while a jump
+    across a level trades at the post-jump price.
 
     For the jump-free zero-rate market (h = 0, r = 0) every path has
     profit >= 0 and profit > 0 with positive probability. With admissible
@@ -205,15 +225,14 @@ def arbitrage_demo(
     n_blocks = (n_paths + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     log_a, log_b = math.log(level_a / params.s0), math.log(level_b / params.s0)
     for block in range(n_blocks):
-        cols = min(_BLOCK_SIZE, n_paths - block * _BLOCK_SIZE)
+        start = block * _BLOCK_SIZE
+        cols = min(_BLOCK_SIZE, n_paths - start)
         times = sample_switch_times(
             params.sigma0, lam_p, lam_m, t_horizon, seed, block, cols
         )
-        for j in range(cols):
-            switches = times[:, j]
-            profits[block * _BLOCK_SIZE + j] = _strategy_profit(
-                params, switches[switches < t_horizon], t_horizon, log_a, log_b
-            )
+        profits[start:start + cols] = _block_profits(
+            params, times, t_horizon, log_a, log_b
+        )
     # rates are zero in the demo; the control uses r = 0 too, so profits
     # need no discounting
     pos = (profits > 1e-12 * params.s0).astype(float)
@@ -225,56 +244,98 @@ def arbitrage_demo(
     )
 
 
-def _strategy_profit(
+def _block_profits(
     params: ModelParams,
-    switches: np.ndarray,
+    times: np.ndarray,
     t_horizon: float,
     log_a: float,
     log_b: float,
-) -> float:
-    """Exact event-driven profit of the threshold strategy on one path.
+) -> np.ndarray:
+    """Exact event-driven profits of the threshold strategy on a block of
+    paths, from their (rows, paths) switch-time matrix.
 
     The log-price ln(S/S0) is piecewise linear between switches with jumps
-    ln(1+h) at switches; level crossings inside a segment have closed-form
-    times, so hit detection is exact.
+    ln(1+h) at switches, and does not depend on the trades. A running sum of
+    the interleaved increments (drift over segment k, then the jump at its
+    end) gives every event value: event 2k ends segment k, event 2k + 1 is
+    the value after the jump that ends it. A path with K switches below the
+    horizon has events 0 .. 2K.
+
+    Entry is the first event at or above ln A: at a segment end it is a
+    continuous crossing, bought exactly at A; after a jump, bought at the
+    post-jump price. Exit is the first event from the entry on where a
+    rising segment reaches ln B (sold exactly at B), a falling segment falls
+    to ln A (sold exactly at A), or a jump lands at or beyond either level
+    (sold at the post-jump price). Without an exit the share is valued at
+    the horizon; without an entry the profit is 0.
     """
-    sig = params.sigma0
-    x = 0.0  # current log price relative to s0
-    t = 0.0
-    holding = False
-    entry_x = 0.0
-    seg_ends = np.concatenate((switches, [t_horizon]))
-    for k, t_end in enumerate(seg_ends):
-        c = params.c(sig)
-        x_end = x + c * (t_end - t)
-        if not holding and x < log_a <= x_end:
-            # continuous upward crossing of the entry level: buy exactly at A
-            holding = True
-            entry_x = log_a
-            x = log_a
-        if holding:
-            if c > 0 and x_end >= log_b:
-                return (math.exp(log_b) - math.exp(entry_x)) * params.s0
-            if c < 0 and x_end <= log_a:
-                return (math.exp(log_a) - math.exp(entry_x)) * params.s0
-        x = x_end
-        if k < len(switches):
-            x += math.log1p(params.h(sig))
-            if holding:
-                # a jump through either level closes at the post-jump price
-                if x >= log_b or x <= log_a:
-                    return (math.exp(x) - math.exp(entry_x)) * params.s0
-            elif x >= log_a:
-                # jump across the entry level: buy at the post-jump price
-                holding = True
-                entry_x = x
-                if x >= log_b:
-                    return 0.0  # bought and sold at the same instant
-            sig = -sig
-        t = t_end
-    if holding:
-        return (math.exp(x) - math.exp(entry_x)) * params.s0
-    return 0.0
+    below = times < t_horizon
+    n_live = np.add.reduce(below, axis=0, dtype=np.int32)
+    rows = int(n_live.max()) + 1
+    seg_ends = np.minimum(times[:rows], t_horizon)
+    regimes = params.sigma0 * np.where(np.arange(rows) % 2 == 0, 1, -1)
+    c = np.array([params.c(sig) for sig in regimes])
+    jump = np.array([math.log1p(params.h(sig)) for sig in regimes[:-1]])
+
+    n_events = 2 * rows - 1
+    x = np.empty((n_events, times.shape[1]))
+    np.multiply(c[0], seg_ends[0], out=x[0])
+    drift = x[2::2]
+    np.subtract(seg_ends[1:], seg_ends[:-1], out=drift)
+    drift *= c[1:, None]
+    # a switch at or past the horizon is no event: its NaN propagates through
+    # the sum, and NaN compares false with both levels, so no path enters or
+    # exits after its last event 2K
+    x[1::2] = np.where(below[: rows - 1], jump[:, None], np.nan)
+    # row by row: numpy's cumsum along axis 0 walks each column with a
+    # stride and costs ten times as much; the additions are the same
+    for i in range(1, n_events):
+        np.add(x[i - 1], x[i], out=x[i])
+
+    # the level each event can exit through: a rising segment B, a falling
+    # one A, a jump either
+    through_b = np.ones((n_events, 1), dtype=bool)
+    through_a = np.ones((n_events, 1), dtype=bool)
+    through_b[0::2, 0] = c > 0
+    through_a[0::2, 0] = c < 0
+
+    entry = _first_true(x >= log_a)
+    entered = entry < n_events
+    entry = np.where(entered, entry, 0)  # any event: unentered paths earn 0
+    # every event before the entry is below ln A, so only the falls to ln A
+    # need masking; at the entry event itself only B closes, so a jump entry
+    # exactly at ln A holds
+    falls = (x <= log_a) & through_a
+    falls &= np.arange(n_events)[:, None] > entry
+    exits = (x >= log_b) & through_b
+    exits |= falls
+    exit_ = _first_true(exits)
+    held = exit_ == n_events
+    exit_ = np.where(held, 2 * n_live, exit_)
+
+    cols = np.arange(times.shape[1])
+    level_a, level_b = math.exp(log_a), math.exp(log_b)
+    sell = np.where(
+        ~held & (exit_ % 2 == 0),
+        np.where(through_b[exit_, 0], level_b, level_a),
+        np.exp(x[exit_, cols]),
+    )
+    buy = np.where(entry % 2 == 0, level_a, np.exp(x[entry, cols]))
+    return np.where(entered, (sell - buy) * params.s0, 0.0)
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Row index of the first True in each column of ``mask``, or
+    ``len(mask)`` where a column has none.
+
+    The largest of the descending ranks len(mask) .. 1 over the True rows
+    marks the first one; a product and a row-wise max are many times faster
+    than ``argmax`` along axis 0, which copies the array to make the axis
+    contiguous.
+    """
+    n = len(mask)
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    return n - (mask * rank).max(axis=0)
 
 
 def limit_scaling_check(

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own series/kernel code:
 switch-count masses come from direct ODE integration of the counting-process
 forward equations, the series terms u_n / U_n are recomputed by adaptive
-quadrature against the per-switch densities, and the quantile-hedging
-thresholds are found by scalar bracketed bisection in z.
+quadrature against the per-switch densities, the quantile-hedging
+thresholds are found by scalar bracketed bisection in z, and the arbitrage
+demo's strategy is walked segment by segment on one path at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from telegraph_market.densities import DensityParams, p_n, p_n_continuous
-from telegraph_market.model import kappa
+from telegraph_market.model import ModelParams, kappa
 
 
 def switch_count_masses_ode(
@@ -174,3 +175,58 @@ def threshold_bisection(
     z1 = bisect(z_k, z_min)
     bracket = first_sign_change_above(z_min)
     return (z1, math.inf if bracket is None else bisect(*bracket))
+
+
+def strategy_profit(
+    params: ModelParams,
+    switches: np.ndarray,
+    t_horizon: float,
+    log_a: float,
+    log_b: float,
+) -> float:
+    """Event-driven profit of the arbitrage demo's threshold strategy on one
+    path, walking its segments one by one (reference for the block
+    evaluation in `mc.arbitrage_demo`).
+
+    ``switches`` are the path's switch times below the horizon. The
+    log-price ln(S/S0) is piecewise linear between switches with jumps
+    ln(1+h) at switches; level crossings inside a segment have closed-form
+    times, so hit detection is exact.
+    """
+    sig = params.sigma0
+    x = 0.0  # current log price relative to s0
+    t = 0.0
+    holding = False
+    entry_x = 0.0
+    seg_ends = np.concatenate((switches, [t_horizon]))
+    for k, t_end in enumerate(seg_ends):
+        c = params.c(sig)
+        x_end = x + c * (t_end - t)
+        if not holding and x < log_a <= x_end:
+            # continuous upward crossing of the entry level: buy exactly at A
+            holding = True
+            entry_x = log_a
+            x = log_a
+        if holding:
+            if c > 0 and x_end >= log_b:
+                return (math.exp(log_b) - math.exp(entry_x)) * params.s0
+            if c < 0 and x_end <= log_a:
+                return (math.exp(log_a) - math.exp(entry_x)) * params.s0
+        x = x_end
+        if k < len(switches):
+            x += math.log1p(params.h(sig))
+            if holding:
+                # a jump through either level closes at the post-jump price
+                if x >= log_b or x <= log_a:
+                    return (math.exp(x) - math.exp(entry_x)) * params.s0
+            elif x >= log_a:
+                # jump across the entry level: buy at the post-jump price
+                holding = True
+                entry_x = x
+                if x >= log_b:
+                    return 0.0  # bought and sold at the same instant
+            sig = -sig
+        t = t_end
+    if holding:
+        return (math.exp(x) - math.exp(entry_x)) * params.s0
+    return 0.0

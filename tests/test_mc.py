@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from telegraph_market import mc
+from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import (
     ModelParams,
     PathState,
     conditional_means,
     martingale_defect,
+    sample_switch_times,
 )
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
+
+from oracles import strategy_profit
 
 CTRL = SeriesControls()
 
@@ -131,6 +135,149 @@ def test_arbitrage_demo_martingale_control():
     )
     assert abs(res.mean_profit.mean) < 3 * res.mean_profit.std_error
     assert res.min_profit < 0.0  # losses do occur: no free lunch
+
+
+JUMP_FREE = ModelParams(
+    c_plus=0.4, c_minus=-0.3, lambda_plus=1.2, lambda_minus=1.0,
+    h_plus=0.0, h_minus=0.0, r_plus=0.0, r_minus=0.0, s0=100.0, sigma0=1,
+)
+JUMPY = ModelParams(
+    c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5,
+    h_plus=-0.2, h_minus=0.4, r_plus=0.0, r_minus=0.0, s0=100.0, sigma0=1,
+)
+LOG_A, LOG_B = math.log(1.05), math.log(1.15)  # A = 105, B = 115, S0 = 100
+B_MINUS_A = (math.exp(LOG_B) - math.exp(LOG_A)) * 100.0
+
+
+def _check_against_loop(params, times, t_horizon, profits):
+    """Block profits against the per-path event loop: exact where both
+    trades are at a level or nothing is bought, within 1e-13 S0 elsewhere."""
+    ref = np.array([
+        strategy_profit(params, col[col < t_horizon], t_horizon, LOG_A, LOG_B)
+        for col in times.T
+    ])
+    at_levels = np.isin(ref, [0.0, B_MINUS_A])
+    assert np.array_equal(profits[at_levels], ref[at_levels])
+    assert np.max(np.abs(profits - ref)) <= 1e-13 * params.s0
+    return ref
+
+
+# (market, sigma0, switch times below or at T = 1, expected profit: a
+# value, or the sign of a profit with a non-level trade)
+HAND_BUILT = {
+    # rises through A at t = 0.12 and B at t = 0.35
+    "continuous_entry_exit_at_B": (JUMP_FREE, +1, [], B_MINUS_A),
+    # rises to 0.08 > ln A, then falls back to ln A
+    "continuous_entry_exit_at_A": (JUMP_FREE, +1, [0.2], 0.0),
+    # falls to -0.15, rises to 0.05 in (ln A, ln B) at the horizon
+    "held_to_horizon": (JUMP_FREE, -1, [0.5], "+"),
+    # turns down at 0.04 < ln A
+    "never_enters": (JUMP_FREE, +1, [0.1], 0.0),
+    # falls to -0.24; the jump ln 1.4 lands at 0.097 in [ln A, ln B); the
+    # rise then reaches B
+    "jump_entry": (JUMPY, -1, [0.8], "+"),
+    # the jump lands at 0.31 >= ln B: bought and sold at once
+    "jump_entry_at_B": (JUMPY, -1, [0.1], 0.0),
+    # enters at A, the jump ln 0.8 at 0.1 lands at -0.12: sold below A
+    "jump_through_A": (JUMPY, +1, [0.2], "-"),
+    # jump entry at 0.051, held at 0.076 to the horizon: the switch at T
+    # is no switch, so its jump ln 0.8 does not close the trade
+    "switch_at_horizon": (JUMPY, -1, [0.95, 1.0], "+"),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_block_profits_every_branch(case):
+    market, sigma0, switches, expected = HAND_BUILT[case]
+    params = replace(market, sigma0=sigma0)
+    # a second path behind it, so rows are trimmed to the longer column;
+    # every column ends with a time past the horizon, as the sampler's do
+    times = np.array([
+        (switches + [2.0, 3.0, 4.0, 5.0])[:4],
+        [0.3, 0.6, 0.9, 1.5],
+    ]).T
+    profits = mc._block_profits(params, times, 1.0, LOG_A, LOG_B)
+    _check_against_loop(params, times, 1.0, profits)
+    if expected == "+":
+        assert profits[0] > 0.0
+    elif expected == "-":
+        assert profits[0] < 0.0
+    else:
+        assert profits[0] == expected
+
+
+# both jump onto ln A exactly: -0.24 + ln 1.4
+@pytest.mark.parametrize("params, switches, sign", [
+    # the share is bought there and kept until the rise reaches B
+    (replace(JUMPY, sigma0=-1), [0.8], +1),
+    # bought there; a flat (c = 0) segment at ln A neither rises nor falls,
+    # so only the next jump, ln 0.8, closes the trade, at a loss
+    (replace(JUMPY, c_plus=0.0, sigma0=-1), [0.8, 0.9], -1),
+])
+def test_jump_entry_exactly_at_a_holds(params, switches, sign):
+    log_a = -0.3 * 0.8 + math.log1p(0.4)
+    times = np.array([switches + [2.0]]).T
+    profit = mc._block_profits(params, times, 1.0, log_a, LOG_B)[0]
+    ref = strategy_profit(params, np.array(switches), 1.0, log_a, LOG_B)
+    assert sign * ref > 1.0
+    assert abs(profit - ref) <= 1e-13 * params.s0
+
+
+@pytest.mark.parametrize("market, sigma0, measure", [
+    (JUMP_FREE, +1, "physical"),
+    (JUMP_FREE, -1, "physical"),
+    (JUMPY, +1, "martingale"),
+])
+def test_arbitrage_demo_matches_event_loop(market, sigma0, measure):
+    params = replace(market, sigma0=sigma0)
+    n_paths, seed = mc._BLOCK_SIZE + 2_500, 31
+    res = mc.arbitrage_demo(
+        params, 105.0, 115.0, 1.0, n_paths, seed=seed, measure=measure
+    )
+    if measure == "martingale":
+        intens = martingale_intensities(params)
+        lam = intens.lambda_star_plus, intens.lambda_star_minus
+    else:
+        lam = params.lambda_plus, params.lambda_minus
+    blocks = [
+        sample_switch_times(sigma0, *lam, 1.0, seed, block, cols)
+        for block, cols in ((0, mc._BLOCK_SIZE), (1, 2_500))
+    ]
+    ref = np.concatenate([
+        _check_against_loop(
+            params, b, 1.0,
+            res.profits[k * mc._BLOCK_SIZE:k * mc._BLOCK_SIZE + b.shape[1]],
+        )
+        for k, b in enumerate(blocks)
+    ])
+    assert res.min_profit == ref.min()
+
+
+def _in_success_set_loop(thresholds, n_sw, x):
+    """The per-switch-count mask loop the gather replaced."""
+    inside = np.ones(n_sw.size, dtype=bool)
+    for n, thr in enumerate(thresholds):
+        mask = n_sw == n
+        if thr is None or not np.any(mask):
+            continue
+        if isinstance(thr, tuple):
+            inside[mask] = (x[mask] <= thr[0]) | (x[mask] >= thr[1])
+        else:
+            inside[mask] = x[mask] <= thr
+    return inside
+
+
+def test_success_set_gather_matches_mask_loop():
+    rng = np.random.default_rng(5)
+    thresholds = (0.1, None, (-0.2, 0.3), -0.05, (0.0, 0.0), None, 0.25)
+    n_sw = rng.integers(0, len(thresholds) + 3, size=20_000)
+    x = rng.uniform(-0.5, 0.5, size=n_sw.size)
+    x[:7] = [0.1, -0.2, 0.3, -0.05, 0.0, 0.25, 0.3]  # on the thresholds
+    n_sw[:7] = [0, 2, 2, 3, 4, 6, 9]
+    got = mc._in_success_set(thresholds, n_sw, x)
+    assert np.array_equal(got, _in_success_set_loop(thresholds, n_sw, x))
+    assert got[n_sw >= len(thresholds)].all()
+    assert got[n_sw == 1].all() and not got.all()
 
 
 def test_limit_scaling_check_monotone():
