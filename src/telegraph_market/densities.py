@@ -1,8 +1,10 @@
 """Exact distributions of the telegraph process position.
 
 Per-switch-count (generalized) densities p_n, the total distribution with its
-atom on the no-switch ray, the modified Bessel closed form, and the
-moment-generating function of the jump telegraph process.
+atom on the no-switch ray, the modified Bessel closed form, and the MGF of the
+jump telegraph process: X + ln kappa is a Markov additive process, so the MGF is
+a row sum of a 2x2 matrix exponential (Asmussen, Applied Probability and
+Queues, ch. XI).
 
 All densities are returned as an explicit (atom, continuous) pair; the atom
 is never smoothed into the continuous part.
@@ -17,12 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError
-from .model import Regime, check_regime, log_kappa_sequence
-from .numerics import gauss_legendre_nodes, log_factorial
+from .model import Regime, check_regime
+from .numerics import expm_2x2_row_sums, log_factorial
 
 _BESSEL_Z_MAX = 650.0  # I0 overflows float64 not far beyond this
-_MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf``
-_MGF_TAIL_EPS = 1e-10  # ``mgf`` stops once its tail bound is below this share of the sum
 
 
 @dataclass(frozen=True)
@@ -283,49 +283,27 @@ def mgf(
     params: DensityParams,
     h_plus: float,
     h_minus: float,
-    *,
-    max_terms: int = 200,
 ) -> float:
-    """Moment-generating function of X(t) + ln kappa(t) at argument z.
-
-    Sums kappa_{n,sigma}^z-weighted integrals of e^{zx} against p_n; stops on
-    a per-term Poisson-type tail bound. Raises DivergenceError if the term
-    ratio test fails within the term budget.
-    """
+    """Moment-generating function E_sigma[e^{z (X(t) + ln kappa(t))}] at z:
+    (e^{tK} 1)_sigma, K = [[z c_+ - lambda_+, lambda_+ (1 + h_+)^z],
+    [lambda_- (1 + h_-)^z, z c_- - lambda_-]], since leaving regime s multiplies
+    the price by 1 + h_s (``model.kappa``). Raises DivergenceError when the
+    value leaves the float range."""
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
-    lo, hi = params.c_minus * t, params.c_plus * t
-    nodes, weights = gauss_legendre_nodes(lo, hi, _MGF_QUAD_ORDER)
-    ezx = np.exp(z * nodes) * weights
-    log_kap = log_kappa_sequence(max_terms, sigma, h_plus, h_minus)
-    lam_max = max(params.lambda_plus, params.lambda_minus)
-    z_sup = max(z * lo, z * hi)
-
-    acc = math.exp(-params.lam(sigma) * t + z * params.c(sigma) * t)  # atom, n = 0
-    for n in range(1, max_terms + 1):
-        if z * log_kap[n] + z_sup > 700.0:
-            raise DivergenceError(
-                "mgf term overflow: jump factors outgrow the Poisson tail"
-            )
-        term = math.exp(z * log_kap[n]) * float(
-            ezx @ p_n_continuous(nodes, t, n, sigma, params)
+    lp, lm = params.lambda_plus, params.lambda_minus
+    try:
+        rows = expm_2x2_row_sums(
+            z * params.c_plus - lp, lp * math.exp(z * math.log1p(h_plus)),
+            lm * math.exp(z * math.log1p(h_minus)), z * params.c_minus - lm, t,
         )
-        acc += term
-        # sup over the support of e^{z x + z ln kappa_{n+1}} times a Poisson mass bound
-        bound_log = (
-            z * log_kap[min(n + 1, max_terms)]
-            + z_sup
-            + (n + 1) * math.log(lam_max * t)
-            - math.lgamma(n + 2)
-        )
-        if bound_log > 700.0:
-            continue
-        bound = math.exp(bound_log)
-        ratio = math.exp(z * (log_kap[min(n + 1, max_terms)] - log_kap[n])) * lam_max * t / (n + 2)
-        if ratio < 0.5 and bound / (1.0 - ratio) < _MGF_TAIL_EPS * abs(acc):
-            return acc
-    raise DivergenceError("mgf series failed to converge within the term budget")
+        val = rows[0] if sigma == +1 else rows[1]
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise DivergenceError("mgf overflow: jump factors outgrow the Poisson tail")
+    return val
 
 
 class ResidualReport(NamedTuple):

@@ -1,5 +1,5 @@
 """Shared numerical helpers: quadrature nodes, a bracketed root finder,
-series tail bounds and log factorials."""
+series tail bounds, log factorials and 2x2 matrix exponential row sums."""
 
 from __future__ import annotations
 
@@ -155,3 +155,22 @@ def gauss_legendre_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np
     x, w = gauss_legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def expm_2x2_row_sums(
+    k11: float, k12: float, k21: float, k22: float, t: float
+) -> tuple[float, float]:
+    """e^{tK}·1 for K = [[k11, k12], [k21, k22]], k12, k21 > 0: real eigenvalues
+    m ± rho (m, delta = (k11 ± k22)/2, rho = hypot(delta, sqrt(k12 k21))) give
+    e^{(m + rho)t} [(1 + e^{-2 rho t})/2 + row (1 - e^{-2 rho t})/(2 rho)] with
+    row = (delta + k12, k21 - delta). Only e^{(m + rho)t} can overflow
+    (``OverflowError``); e^{mt} cosh(rho t) would give 0 * inf when m ~ -rho."""
+    m, delta = 0.5 * (k11 + k22), 0.5 * (k11 - k22)
+    rho = math.hypot(delta, math.sqrt(k12 * k21))
+    even = 0.5 * (1.0 + math.exp(-2.0 * rho * t))
+    spread = -math.expm1(-2.0 * rho * t) / (2.0 * rho) if rho > 0 else t
+    scale = math.exp((m + rho) * t)
+    return (
+        scale * (even + (delta + k12) * spread),
+        scale * (even + (k21 - delta) * spread),
+    )

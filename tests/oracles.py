@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own series/kernel code:
 switch-count masses come from direct ODE integration of the counting-process
 forward equations, the series terms u_n / U_n are recomputed by adaptive
 quadrature against the per-switch densities, the quantile-hedging
-thresholds are found by scalar bracketed bisection in z, and the arbitrage
-demo's strategy is walked segment by segment on one path at a time.
+thresholds are found by scalar bracketed bisection in z, the arbitrage
+demo's strategy is walked segment by segment on one path at a time, and the
+MGF is summed over switch counts with one Gauss-Legendre integral per n.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from telegraph_market.densities import DensityParams, p_n, p_n_continuous
-from telegraph_market.model import ModelParams, kappa
+from telegraph_market.errors import DivergenceError
+from telegraph_market.model import ModelParams, kappa, log_kappa_sequence
+from telegraph_market.numerics import gauss_legendre_nodes
+
+_MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf_series``
+_MGF_TAIL_EPS = 1e-10  # ``mgf_series`` stops once its tail bound is below this share of the sum
 
 
 def switch_count_masses_ode(
@@ -230,3 +236,53 @@ def strategy_profit(
     if holding:
         return (math.exp(x) - math.exp(entry_x)) * params.s0
     return 0.0
+
+
+def mgf_series(
+    z: float,
+    t: float,
+    sigma: int,
+    params: DensityParams,
+    h_plus: float,
+    h_minus: float,
+    *,
+    max_terms: int = 200,
+) -> float:
+    """Moment-generating function of X(t) + ln kappa(t) at argument z.
+
+    Sums kappa_{n,sigma}^z-weighted integrals of e^{zx} against p_n; stops on
+    a per-term Poisson-type tail bound. Raises DivergenceError if the term
+    ratio test fails within the term budget. The bound carries no e^{-lam t},
+    so ``max_terms`` must reach about 2 e lam t for large lam t.
+    """
+    lo, hi = params.c_minus * t, params.c_plus * t
+    nodes, weights = gauss_legendre_nodes(lo, hi, _MGF_QUAD_ORDER)
+    ezx = np.exp(z * nodes) * weights
+    log_kap = log_kappa_sequence(max_terms, sigma, h_plus, h_minus)
+    lam_max = max(params.lambda_plus, params.lambda_minus)
+    z_sup = max(z * lo, z * hi)
+
+    acc = math.exp(-params.lam(sigma) * t + z * params.c(sigma) * t)  # atom, n = 0
+    for n in range(1, max_terms + 1):
+        if z * log_kap[n] + z_sup > 700.0:
+            raise DivergenceError(
+                "mgf term overflow: jump factors outgrow the Poisson tail"
+            )
+        term = math.exp(z * log_kap[n]) * float(
+            ezx @ p_n_continuous(nodes, t, n, sigma, params)
+        )
+        acc += term
+        # sup over the support of e^{z x + z ln kappa_{n+1}} times a Poisson mass bound
+        bound_log = (
+            z * log_kap[min(n + 1, max_terms)]
+            + z_sup
+            + (n + 1) * math.log(lam_max * t)
+            - math.lgamma(n + 2)
+        )
+        if bound_log > 700.0:
+            continue
+        bound = math.exp(bound_log)
+        ratio = math.exp(z * (log_kap[min(n + 1, max_terms)] - log_kap[n])) * lam_max * t / (n + 2)
+        if ratio < 0.5 and bound / (1.0 - ratio) < _MGF_TAIL_EPS * abs(acc):
+            return acc
+    raise DivergenceError("mgf series failed to converge within the term budget")

@@ -447,10 +447,15 @@ def test_limit_check_report(capsys):
     assert [lvl["level"] for lvl in doc["levels"]] == [1, 4, 16, 64]
     assert all(a > b for a, b in zip(maxes, maxes[1:]))
     assert maxes[-1] < 0.02
+    # the figures of the per-n series MGF (400-node quadrature per switch
+    # count), which agrees with the closed form to about 1e-11
+    series_maxes = [0.161318045598527, 0.0850257478805459, 0.0390189998509518, 0.0186414111963433]
+    assert maxes == pytest.approx(series_maxes, rel=0.0, abs=1e-10)
 
 
 def test_limit_check_beyond_level_64(capsys):
-    # the mgf term budget grows with lambda t, so level 256 converges
+    # the closed-form mgf costs the same at any level; level 256 (lambda t =
+    # 256) is still closer to the Gaussian limit than level 64
     code, out = _run(
         ["limit-check", "--vc", "0.3", "--va", "0.2", "--mu", "0.05",
          "--levels", "64", "256", "--z", "1", "--t", "1"],

@@ -20,7 +20,7 @@ from telegraph_market.densities import (
 )
 from telegraph_market.errors import DivergenceError
 
-from oracles import switch_count_masses_ode
+from oracles import mgf_series, switch_count_masses_ode
 
 DENS = DensityParams(c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5)
 
@@ -143,11 +143,44 @@ def test_mgf_matches_direct_expectation():
     assert val == pytest.approx(acc, rel=1e-9)
 
 
+# (density parameters, h_plus, h_minus): the suite's asymmetric market, the
+# double-threshold quantile market and the jump-free arbitrage market
+MGF_MARKETS = {
+    "asym": (DENS, -0.2, 0.4),
+    "double": (DensityParams(c_plus=0.1, c_minus=-0.4, lambda_plus=1.0, lambda_minus=1.5), 0.05, 0.5),
+    "jump_free": (DensityParams(c_plus=0.4, c_minus=-0.3, lambda_plus=1.2, lambda_minus=1.0), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("market", sorted(MGF_MARKETS))
+def test_mgf_closed_form_matches_series_oracle(market):
+    # 3 markets x 4 z x 3 t x 2 regimes = 72 inputs
+    dens, hp, hm = MGF_MARKETS[market]
+    for z in (-1.0, 0.5, 1.0, 2.0):
+        for t in (0.3, 1.0, 2.5):
+            for sigma in (+1, -1):
+                ref = mgf_series(z, t, sigma, dens, hp, hm)
+                assert mgf(z, t, sigma, dens, hp, hm) == pytest.approx(ref, rel=1e-10)
+
+
+def test_mgf_closed_form_matches_series_oracle_at_level_256():
+    # level 256 of the diffusion-limit family (v_c = 0.3, v_a = 0.2, mu = 0.05):
+    # lambda t = 256, where the series needs its 2 e lambda t term budget
+    lam, root = 256.0, 16.0
+    a = 0.05 - 0.2 * root
+    dens = DensityParams(
+        c_plus=a + 0.3 * root, c_minus=a - 0.3 * root, lambda_plus=lam, lambda_minus=lam
+    )
+    h = math.exp(0.2 / root) - 1.0
+    ref = mgf_series(1.0, 1.0, +1, dens, h, h, max_terms=math.ceil(2.0 * math.e * lam))
+    assert mgf(1.0, 1.0, +1, dens, h, h) == pytest.approx(ref, rel=1e-10)
+
+
 def test_mgf_divergence_flagged():
     # huge z with huge positive jumps: the kappa^z factors outgrow the
-    # Poisson tail and the series cannot certify its tail
+    # Poisson tail and e^{t l_1} (l_1 about 1e53) leaves the float range
     with pytest.raises(DivergenceError):
-        mgf(40.0, 1.0, +1, DENS, 20.0, 20.0, max_terms=60)
+        mgf(40.0, 1.0, +1, DENS, 20.0, 20.0)
 
 
 def test_kolmogorov_residual_small_and_perturbation_detected():

@@ -55,17 +55,22 @@ def test_sample_path_reproducible(asym_params):
 
 
 def test_sample_switch_times_carries_one_stream_across_chunks():
-    # ~30 switches per path at lambda T ~ 30: several chunks per column
-    times = sample_switch_times(+1, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=64)
-    rows = times.shape[0]
-    # whole chunks of 16 rows, the last one needed by some column
-    assert rows > 16 and rows % 16 == 0
-    assert np.all(times[-1] > 3.0) and np.any(times[rows - 17] <= 3.0)
-    rates = np.where(np.arange(rows) % 2 == 0, 10.0, 9.72)[:, None]
-    one_shot = np.cumsum(
-        path_rng(4, 2).standard_exponential(size=(rows, 64)) / rates, axis=0
-    )
-    assert np.array_equal(times, one_shot)
+    # ~30 switches per path at lambda T ~ 30: several chunks per column; the
+    # running sum (np.cumsum below 256 columns, row by row from there) equals
+    # np.cumsum over the same stream, bit for bit, from either starting regime
+    for sigma0, first, second, n_cols in (
+        (+1, 10.0, 9.72, 64), (-1, 9.72, 10.0, 64), (+1, 10.0, 9.72, 300), (-1, 9.72, 10.0, 300)
+    ):
+        times = sample_switch_times(sigma0, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=n_cols)
+        rows = times.shape[0]
+        # whole chunks of 16 rows, the last one needed by some column
+        assert rows > 16 and rows % 16 == 0
+        assert np.all(times[-1] > 3.0) and np.any(times[rows - 17] <= 3.0)
+        rates = np.where(np.arange(rows) % 2 == 0, first, second)[:, None]
+        one_shot = np.cumsum(
+            path_rng(4, 2).standard_exponential(size=(rows, n_cols)) / rates, axis=0
+        )
+        assert np.array_equal(times, one_shot)
 
 
 def test_path_state_counts_and_occupation():

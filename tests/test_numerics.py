@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from telegraph_market.numerics import (
+    expm_2x2_row_sums,
     gauss_legendre_nodes,
     gauss_legendre_rule,
     geometric_root,
@@ -74,3 +76,18 @@ def test_geometric_root_smooth_and_jump():
     root = geometric_root(lambda x: x - 1e-9, 1e-12, 4.0, rtol=1e-13, abs_tol=1e-12)
     assert abs(root - 1e-9) <= 1e-12
     assert geometric_root(lambda x: 1.0 + x, 1.0, 4.0, rtol=1e-13) is None
+
+
+@pytest.mark.parametrize(
+    "k, t",
+    [
+        ((-2.0, 2.0, 1.5, -1.5), 1.0),  # a generator: the row sums are 1
+        ((0.3, 1.7, 0.2, -2.5), 2.5),
+        ((-1.0, 1e-9, 1e-9, -1.0), 3.0),  # nearly equal eigenvalues
+        ((-300.0, 256.0, 256.0, -260.0), 1.0),  # m + rho small against m
+    ],
+)
+def test_expm_2x2_row_sums_match_scipy_expm(k, t):
+    k11, k12, k21, k22 = k
+    ref = expm(t * np.array([[k11, k12], [k21, k22]])) @ np.ones(2)
+    assert np.allclose(expm_2x2_row_sums(k11, k12, k21, k22, t), ref, rtol=1e-12, atol=0.0)
