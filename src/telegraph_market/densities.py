@@ -287,8 +287,8 @@ def mgf(
     """Moment-generating function E_sigma[e^{z (X(t) + ln kappa(t))}] at z:
     (e^{tK} 1)_sigma, K = [[z c_+ - lambda_+, lambda_+ (1 + h_+)^z],
     [lambda_- (1 + h_-)^z, z c_- - lambda_-]], since leaving regime s multiplies
-    the price by 1 + h_s (``model.kappa``). Raises DivergenceError when the
-    value leaves the float range."""
+    the price by 1 + h_s (``model.kappa``). Raises DivergenceError when either
+    row of e^{tK} 1 leaves the float range."""
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
@@ -298,12 +298,9 @@ def mgf(
             z * params.c_plus - lp, lp * math.exp(z * math.log1p(h_plus)),
             lm * math.exp(z * math.log1p(h_minus)), z * params.c_minus - lm, t,
         )
-        val = rows[0] if sigma == +1 else rows[1]
     except OverflowError:
-        val = math.inf
-    if not math.isfinite(val):
-        raise DivergenceError("mgf overflow: jump factors outgrow the Poisson tail")
-    return val
+        raise DivergenceError("mgf overflow: jump factors outgrow the Poisson tail") from None
+    return rows[0] if sigma == +1 else rows[1]
 
 
 class ResidualReport(NamedTuple):

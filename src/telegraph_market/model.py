@@ -22,7 +22,6 @@ Regime = int  # +1 or -1
 
 _UINT64_MASK = (1 << 64) - 1
 _CHUNK_ROWS = 16  # rows of exponential waits drawn per chunk (even: rates alternate)
-_ROW_SUM_MIN_COLS = 256  # from this width row additions beat np.cumsum's column walk
 
 
 def check_regime(sigma: int) -> int:
@@ -161,9 +160,8 @@ def sample_switch_times(
 
     Standard exponentials from ``path_rng(seed, key)`` are drawn row-major in
     chunks of ``_CHUNK_ROWS`` rows and divided by the alternating rates
-    lambda_{sigma0}, lambda_{-sigma0}, ...; the running sum (wide chunks add
-    row by row, the same sums in the same order as ``np.cumsum``) is carried
-    across chunks, drawn until every column has passed the horizon: column j
+    lambda_{sigma0}, lambda_{-sigma0}, ...; the running sum (added row by row,
+    the same sums in the same order as ``np.cumsum``) is carried across chunks, drawn until every column has passed the horizon: column j
     holds path j's switch times in increasing order, ending past the horizon.
     """
     if not horizon > 0:
@@ -179,11 +177,8 @@ def sample_switch_times(
     while not chunks or np.any(last <= horizon):
         gaps = rng.standard_exponential(size=(_CHUNK_ROWS, n_cols)) / rates[:, None]
         gaps[0] += last
-        if n_cols < _ROW_SUM_MIN_COLS:
-            np.cumsum(gaps, axis=0, out=gaps)
-        else:
-            for prev, row in zip(gaps, gaps[1:]):
-                np.add(row, prev, out=row)
+        for prev, row in zip(gaps, gaps[1:]):
+            np.add(row, prev, out=row)
         chunks.append(gaps)
         last = gaps[-1]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -163,14 +163,18 @@ def expm_2x2_row_sums(
     """e^{tK}·1 for K = [[k11, k12], [k21, k22]], k12, k21 > 0: real eigenvalues
     m ± rho (m, delta = (k11 ± k22)/2, rho = hypot(delta, sqrt(k12 k21))) give
     e^{(m + rho)t} [(1 + e^{-2 rho t})/2 + row (1 - e^{-2 rho t})/(2 rho)] with
-    row = (delta + k12, k21 - delta). Only e^{(m + rho)t} can overflow
-    (``OverflowError``); e^{mt} cosh(rho t) would give 0 * inf when m ~ -rho."""
+    row = (delta + k12, k21 - delta); e^{mt} cosh(rho t) would give 0 * inf
+    when m ~ -rho. Raises ``OverflowError`` when either row sum leaves the
+    float range, also when e^{(m + rho)t} fits but row * spread is large."""
     m, delta = 0.5 * (k11 + k22), 0.5 * (k11 - k22)
     rho = math.hypot(delta, math.sqrt(k12 * k21))
     even = 0.5 * (1.0 + math.exp(-2.0 * rho * t))
     spread = -math.expm1(-2.0 * rho * t) / (2.0 * rho) if rho > 0 else t
     scale = math.exp((m + rho) * t)
-    return (
+    rows = (
         scale * (even + (delta + k12) * spread),
         scale * (even + (k21 - delta) * spread),
     )
+    if not (math.isfinite(rows[0]) and math.isfinite(rows[1])):
+        raise OverflowError("e^{tK} row sum out of float range")
+    return rows

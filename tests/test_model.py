@@ -56,10 +56,10 @@ def test_sample_path_reproducible(asym_params):
 
 def test_sample_switch_times_carries_one_stream_across_chunks():
     # ~30 switches per path at lambda T ~ 30: several chunks per column; the
-    # running sum (np.cumsum below 256 columns, row by row from there) equals
-    # np.cumsum over the same stream, bit for bit, from either starting regime
+    # row-by-row running sum equals np.cumsum over the same stream, bit for
+    # bit, from either starting regime, for one path and for many
     for sigma0, first, second, n_cols in (
-        (+1, 10.0, 9.72, 64), (-1, 9.72, 10.0, 64), (+1, 10.0, 9.72, 300), (-1, 9.72, 10.0, 300)
+        (+1, 10.0, 9.72, 1), (-1, 9.72, 10.0, 1), (+1, 10.0, 9.72, 300), (-1, 9.72, 10.0, 300)
     ):
         times = sample_switch_times(sigma0, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=n_cols)
         rows = times.shape[0]

@@ -91,3 +91,11 @@ def test_expm_2x2_row_sums_match_scipy_expm(k, t):
     k11, k12, k21, k22 = k
     ref = expm(t * np.array([[k11, k12], [k21, k22]])) @ np.ones(2)
     assert np.allclose(expm_2x2_row_sums(k11, k12, k21, k22, t), ref, rtol=1e-12, atol=0.0)
+
+
+def test_expm_2x2_row_sums_overflow_raises():
+    # e^{(m + rho)t} = e^10 fits, but the first row's k12 * spread does not
+    with pytest.raises(OverflowError):
+        expm_2x2_row_sums(0.0, 1e305, 1e-305, 0.0, 10.0)
+    with pytest.raises(OverflowError):
+        expm_2x2_row_sums(800.0, 1.0, 1.0, 800.0, 1.0)  # e^{(m + rho)t} itself
