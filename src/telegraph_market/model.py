@@ -161,8 +161,9 @@ def sample_switch_times(
     Standard exponentials from ``path_rng(seed, key)`` are drawn row-major in
     chunks of ``_CHUNK_ROWS`` rows and divided by the alternating rates
     lambda_{sigma0}, lambda_{-sigma0}, ...; the running sum (added row by row,
-    the same sums in the same order as ``np.cumsum``) is carried across chunks, drawn until every column has passed the horizon: column j
-    holds path j's switch times in increasing order, ending past the horizon.
+    the same sums in the same order as ``np.cumsum``) is carried across
+    chunks, drawn until every column has passed the horizon: column j holds
+    path j's switch times in increasing order, ending past the horizon.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")

@@ -96,24 +96,20 @@ def _brent(
     return x_cur
 
 
-def poisson_tail_bound(rate_t: float, n: int) -> float:
-    """Upper bound on sum_{k > n} (rate_t)^k / k!.
+def poisson_tail_bounds(rate_t: float, n_max: int) -> np.ndarray:
+    """Upper bounds on sum_{k > n} (rate_t)^k / k! for n = 0..n_max.
 
-    Uses the geometric-ratio bound on the Poisson-type tail; valid (and
-    finite) once n + 2 > rate_t, else returns +inf. A bound past the float
-    range is +inf as well.
+    Uses the geometric-ratio bound on the Poisson-type tail, the head term
+    rate_t^{n+1} / (n+1)! over 1 - rate_t / (n + 2); valid (and finite) once
+    n + 2 > rate_t, else +inf. A bound past the float range is +inf as well.
     """
+    n = np.arange(n_max + 1)
     if rate_t <= 0.0:
-        return 0.0
+        return np.zeros(n.size)
     ratio = rate_t / (n + 2)
-    if ratio >= 1.0:
-        return math.inf
-    log_head = (n + 1) * math.log(rate_t) - math.lgamma(n + 2)
-    try:
-        head = math.exp(log_head)
-    except OverflowError:
-        return math.inf
-    return head / (1.0 - ratio)
+    with np.errstate(over="ignore", divide="ignore"):
+        head = np.exp((n + 1) * math.log(rate_t) - log_factorial(n + 1))
+        return np.where(ratio < 1.0, head / (1.0 - ratio), math.inf)
 
 
 _LOG_FACTORIALS = np.zeros(1)  # log k! for k < len, grown by log_factorial

@@ -28,7 +28,8 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
 - ``u_n`` / ``U_n`` give single terms through the same region split; they
   are the per-term reference the tests compare the integrated terms with.
 
-All series stop on explicit Poisson-type tail bounds.
+Every switch-count series stops at the one rule of ``series_length``: the
+first n where weighted Poisson-type tail bounds fall below tail_epsilon.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .numerics import (
     gauss_legendre_nodes,
     gauss_legendre_rule,
     log_factorial,
-    poisson_tail_bound,
+    poisson_tail_bounds,
 )
 
 _HYP_MAX_TERMS = 500
@@ -288,20 +289,13 @@ def _fill_phi(
 
 
 def phi_kn(
-    k: int,
-    n: int,
-    p: np.ndarray | float,
-    a_bar: float,
-    *,
-    cache: dict[int, np.ndarray] | None = None,
+    k: int, n: int, p: np.ndarray | float, a_bar: float
 ) -> np.ndarray | float:
     """Auxiliary kernels phi_{k,n}(p); phi_{0,n} = P_{2n+1}.
 
-    phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1.
-    ``cache`` maps orders to the kernels P_order^{(-)}(p) already evaluated on
-    the same p, so that several phi on one p share them; missing orders come
-    from one ``_kernel_table``. Raises TruncationError when a coefficient
-    overflows.
+    phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1,
+    every order read from one ``_kernel_table``. Raises TruncationError when
+    a coefficient overflows.
     """
     if k < 0 or k > n:
         raise ValueError("phi_kn requires 0 <= k <= n")
@@ -309,15 +303,9 @@ def phi_kn(
     coef = np.zeros((1, 2 * n + 2))
     _fill_phi(coef, np.array([k]), n, a_bar, _beta_table(k))
     orders = [2 * n + 1] if k == 0 else range(2 * n, 2 * n - k, -1)
-    if cache is None:
-        cache = {}
-    missing = [o for o in orders if o not in cache]
-    if missing:
-        lo = min(missing)
-        table = _kernel_table(p_arr.ravel(), max(missing), a_bar, n_min=lo)
-        for o in missing:
-            cache[o] = table[o - lo].reshape(p_arr.shape)
-    acc = sum(coef[0, o] * cache[o] for o in orders)
+    lo = min(orders)
+    table = _kernel_table(p_arr.ravel(), max(orders), a_bar, n_min=lo)
+    acc = sum(coef[0, o] * table[o - lo] for o in orders).reshape(p_arr.shape)
     return acc if np.ndim(p) else float(acc)
 
 
@@ -663,34 +651,54 @@ def tilted_intensities(
     return lbp, lbm
 
 
-def _series_length(
+def series_length(
     t_min: float,
     t_max: float,
+    controls: SeriesControls,
+    *series: tuple[float, float, float, float],
+) -> tuple[int, float]:
+    """Last switch count n of one or more series over times in
+    [t_min, t_max], and their summed tail bound there.
+
+    Each series is (weight, lam_lo, lam_hi, rate_lo): its terms beyond n are
+    bounded by weight e^{-(rate_lo + lam_lo) t_min} times the Poisson-type
+    tail bound at lam_hi t_max (``poisson_tail_bounds``), which charges every
+    switch at the larger intensity; the bounds do not depend on the terms.
+    The series stop at the first n <= max_terms where the sum falls below
+    tail_epsilon. A series of weight 0 adds nothing, and a mass that
+    underflows to 0 against an infinite bound counts as not below. Raises
+    TruncationError on budget exhaustion.
+    """
+    tail = np.zeros(controls.max_terms + 1)
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, never below
+        for weight, lam_lo, lam_hi, rate_lo in series:
+            if weight:
+                mass = weight * math.exp(-(rate_lo + lam_lo) * t_min)
+                tail += mass * poisson_tail_bounds(lam_hi * t_max, controls.max_terms)
+    below = np.flatnonzero(tail < controls.tail_epsilon)
+    if below.size == 0:
+        raise TruncationError(
+            f"switch-count series did not meet tail_epsilon within {controls.max_terms} terms"
+        )
+    return int(below[0]), float(tail[below[0]])
+
+
+def _call_series(
     params: ModelParams,
     intens: MartingaleIntensities,
-    controls: SeriesControls,
     weight_u: float,
     weight_U: float,
-) -> tuple[int, float]:
-    """Last switch count n of the u and U series and the tail bound there.
-
-    The series stop at the first n where weight_u * tail(u) +
-    weight_U * tail(U) falls below tail_epsilon, with Poisson-type tail
-    bounds at the larger intensity; the bounds do not depend on the terms.
-    Raises TruncationError on budget exhaustion.
-    """
-    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-    lbp, lbm = tilted_intensities(params, lsp, lsm)
+) -> tuple[tuple[float, float, float, float], ...]:
+    """The u and U series of a call as ``series_length`` takes them: u at the
+    martingale intensities, discounted at the smaller rate, and U at the
+    tilted intensities."""
+    lam = intens.lambda_star_plus, intens.lambda_star_minus
+    lam_bar = tilted_intensities(params, *lam)
     r_min = min(params.r_plus, params.r_minus)
-    u_mass = math.exp(-(r_min + min(lsp, lsm)) * t_min)
-    U_mass = math.exp(-min(lbp, lbm) * t_min)
-    for n in range(controls.max_terms + 1):
-        tail = weight_u * u_mass * poisson_tail_bound(
-            max(lsp, lsm) * t_max, n
-        ) + weight_U * U_mass * poisson_tail_bound(max(lbp, lbm) * t_max, n)
-        if tail < controls.tail_epsilon:
-            return n, tail
-    raise TruncationError("pricing series exceeded the term budget")
+    return (
+        (weight_u, min(lam), max(lam), r_min),
+        (weight_U, min(lam_bar), max(lam_bar), 0.0),
+    )
 
 
 class _FullMasses:
@@ -739,7 +747,8 @@ def call_u_U(
     """Sums (u, U) of the u and U series at kappa-shifted arguments y - b_n,
     by the transport route on arrays of points.
 
-    Terms run up to the stopping index of ``_series_length``. One split of
+    Terms run up to the stopping index of ``series_length``, with the u and
+    U tails weighted by ``weight_u`` and ``weight_U``. One split of
     the points (``_split``) serves u and U. Below the slow ray a term is the
     full mass of the point's time to maturity, so the below-ray part of a
     sum is one read of the cumulative full-mass table ``masses`` (built here
@@ -755,9 +764,9 @@ def call_u_U(
     y_flat, t_flat = y_arr.ravel(), t_arr.ravel()
     if np.any(t_flat <= 0):
         raise ValueError("t must be positive")
-    n_used, _ = _series_length(
-        float(np.min(t_flat)), float(np.max(t_flat)), params, intens, controls,
-        weight_u, weight_U,
+    n_used, _ = series_length(
+        float(np.min(t_flat)), float(np.max(t_flat)), controls,
+        *_call_series(params, intens, weight_u, weight_U),
     )
     if masses is None:
         masses = _FullMasses(t_flat, sigma, params, intens)
@@ -805,8 +814,8 @@ def call_price(
     T = spec.maturity
     sigma = params.sigma0
     cp, cm = params.c_plus, params.c_minus
-    n_used, tail = _series_length(
-        T, T, params, intens, controls, weight_u=spec.strike, weight_U=params.s0
+    n_used, tail = series_length(
+        T, T, controls, *_call_series(params, intens, spec.strike, params.s0)
     )
     shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
     lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
@@ -996,17 +1005,16 @@ def symmetric_price_check(
     T = spec.maturity
     y = math.log(spec.strike / params.s0)
     cp, cm = params.c_plus, params.c_minus
-    b = log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
+    n_used, _ = series_length(T, T, controls, (spec.strike, lam_star, lam_star, r))
+    b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
     log_pref = -(lam_star + r) * T
-    weight = spec.strike * math.exp(log_pref)
 
     # u_n = e^{-(lam* + r) T} lam*^n / n! sum_{k <= m} C(n, k) q^k p^{n-k} in
     # the wedge, and p + q = T there, so u_n is the Poisson(lam* T) mass at n,
     # discounted, times P(Binomial(n, q / T) <= m); below the slow ray the
-    # probability is 1, above the fast ray 0. The series stops where the
-    # strike-weighted tail is below tail_epsilon, as ``_series_length`` does
+    # probability is 1, above the fast ray 0
     u_total = 0.0
-    for n in range(controls.max_terms + 1):
+    for n in range(n_used + 1):
         y_n = y - b[n]
         if y_n <= cp * T:
             log_term = log_pref + n * math.log(lam_star * T) - log_factorial(n)
@@ -1018,10 +1026,6 @@ def symmetric_price_check(
                 u_total += math.exp(log_term) * _binomial_cdf(
                     _m_index(n, sigma), n, q, p
                 )
-        if weight * poisson_tail_bound(lam_star * T, n) < controls.tail_epsilon:
-            break
-    else:
-        raise TruncationError("symmetric series exceeded the term budget")
 
     intens = martingale_intensities(params)
     _, U = call_u_U(
@@ -1083,6 +1087,7 @@ def european_price_F(
     )
     r_sig = params.r(sigma)
     c_sig = params.c(sigma)
+    pay = np.vectorize(payoff, otypes=[float])
 
     if params.c_plus == params.c_minus:
         if params.r_plus != params.r_minus:
@@ -1090,14 +1095,10 @@ def european_price_F(
                 "degenerate velocities with distinct rates are not supported"
             )
         # deterministic log-price drift; only the switch count is random
-        acc = 0.0
-        grow = math.exp(c_sig * s)
-        masses = _rho_rows(np.array([s]), controls.max_terms, sigma, lsp, lsm, 0.0, 0.0)
-        for n in range(controls.max_terms + 1):
-            acc += masses[n, 0] * float(payoff(x * grow * kap[n]))
-            if poisson_tail_bound(max(lsp, lsm) * s, n) < controls.tail_epsilon:
-                return math.exp(-r_sig * s) * acc
-        raise TruncationError("payoff series exceeded the term budget")
+        n_used, _ = series_length(s, s, controls, (1.0, 0.0, max(lsp, lsm), 0.0))
+        masses = _rho_rows(np.array([s]), n_used, sigma, lsp, lsm, 0.0, 0.0)[:, 0]
+        acc = masses @ pay(x * math.exp(c_sig * s) * kap[: n_used + 1])
+        return math.exp(-r_sig * s) * float(acc)
 
     a_r, b_r = linear_transform_coeffs(
         params.c_plus, params.c_minus, params.r_plus, params.r_minus
@@ -1107,7 +1108,6 @@ def european_price_F(
         lambda_plus=lsp, lambda_minus=lsm,
     )
     lo, hi = params.c_minus * s, params.c_plus * s
-    pay = np.vectorize(payoff, otypes=[float])
     acc = math.exp(-lam_s * s - a_r * c_sig * s) * float(payoff(x * math.exp(c_sig * s)))
     lam_max = max(lsp, lsm)
     lam_min = min(lsp, lsm)

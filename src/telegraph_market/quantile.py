@@ -23,11 +23,12 @@ import numpy as np
 from .errors import BudgetError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import ModelParams, kappa, linear_transform_coeffs, log_kappa_sequence
-from .numerics import geometric_root, poisson_tail_bound
+from .numerics import geometric_root
 from .pricing import (
     CallSpec,
     SeriesControls,
     call_price,
+    series_length,
     series_terms,
     tilted_intensities,
 )
@@ -243,16 +244,13 @@ def threshold_z(
 
 def _n_cutoff(params: ModelParams, intens: MartingaleIntensities,
               maturity: float, controls: SeriesControls) -> int:
+    """Last switch count of the capital and probability series: the
+    unweighted tail bound at the largest of both measures' intensities."""
     lam_hi = max(
         intens.lambda_star_plus, intens.lambda_star_minus,
         params.lambda_plus, params.lambda_minus,
     )
-    for n in range(controls.max_terms + 1):
-        if poisson_tail_bound(lam_hi * maturity, n) < controls.tail_epsilon:
-            return n
-    raise TruncationError(
-        f"switch-count series did not meet tail_epsilon within {controls.max_terms} terms"
-    )
+    return series_length(maturity, maturity, controls, (1.0, 0.0, lam_hi, 0.0))[0]
 
 
 def _thresholds_for_gamma(

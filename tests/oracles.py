@@ -5,8 +5,9 @@ switch-count masses come from direct ODE integration of the counting-process
 forward equations, the series terms u_n / U_n are recomputed by adaptive
 quadrature against the per-switch densities, the quantile-hedging
 thresholds are found by scalar bracketed bisection in z, the arbitrage
-demo's strategy is walked segment by segment on one path at a time, and the
-MGF is summed over switch counts with one Gauss-Legendre integral per n.
+demo's strategy is walked segment by segment on one path at a time, the
+MGF is summed over switch counts with one Gauss-Legendre integral per n, and
+the series stops are found by a per-n loop over a scalar tail bound.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from telegraph_market.densities import DensityParams, p_n, p_n_continuous
-from telegraph_market.errors import DivergenceError
+from telegraph_market.errors import DivergenceError, TruncationError
+from telegraph_market.measure import MartingaleIntensities
 from telegraph_market.model import ModelParams, kappa, log_kappa_sequence
 from telegraph_market.numerics import gauss_legendre_nodes
+from telegraph_market.pricing import SeriesControls, tilted_intensities
 
 _MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf_series``
 _MGF_TAIL_EPS = 1e-10  # ``mgf_series`` stops once its tail bound is below this share of the sum
@@ -286,3 +289,70 @@ def mgf_series(
         if ratio < 0.5 and bound / (1.0 - ratio) < _MGF_TAIL_EPS * abs(acc):
             return acc
     raise DivergenceError("mgf series failed to converge within the term budget")
+
+
+def poisson_tail_bound(rate_t: float, n: int) -> float:
+    """Upper bound on sum_{k > n} (rate_t)^k / k!.
+
+    Uses the geometric-ratio bound on the Poisson-type tail; valid (and
+    finite) once n + 2 > rate_t, else returns +inf. A bound past the float
+    range is +inf as well.
+    """
+    if rate_t <= 0.0:
+        return 0.0
+    ratio = rate_t / (n + 2)
+    if ratio >= 1.0:
+        return math.inf
+    log_head = (n + 1) * math.log(rate_t) - math.lgamma(n + 2)
+    try:
+        head = math.exp(log_head)
+    except OverflowError:
+        return math.inf
+    return head / (1.0 - ratio)
+
+
+def series_length_loop(
+    t_min: float,
+    t_max: float,
+    params: ModelParams,
+    intens: MartingaleIntensities,
+    controls: SeriesControls,
+    weight_u: float,
+    weight_U: float,
+) -> tuple[int, float]:
+    """Last switch count n of a call's u and U series and the tail bound
+    there, one n at a time: the reference for ``pricing.series_length``.
+
+    The series stop at the first n where weight_u * tail(u) +
+    weight_U * tail(U) falls below tail_epsilon, with Poisson-type tail
+    bounds at the larger intensity; the bounds do not depend on the terms.
+    Raises TruncationError on budget exhaustion.
+    """
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    lbp, lbm = tilted_intensities(params, lsp, lsm)
+    r_min = min(params.r_plus, params.r_minus)
+    u_mass = math.exp(-(r_min + min(lsp, lsm)) * t_min)
+    U_mass = math.exp(-min(lbp, lbm) * t_min)
+    for n in range(controls.max_terms + 1):
+        tail = weight_u * u_mass * poisson_tail_bound(
+            max(lsp, lsm) * t_max, n
+        ) + weight_U * U_mass * poisson_tail_bound(max(lbp, lbm) * t_max, n)
+        if tail < controls.tail_epsilon:
+            return n, tail
+    raise TruncationError("pricing series exceeded the term budget")
+
+
+def n_cutoff_loop(params: ModelParams, intens: MartingaleIntensities,
+                  maturity: float, controls: SeriesControls) -> int:
+    """The quantile series' switch-count cutoff, one n at a time: the
+    reference for ``quantile._n_cutoff``."""
+    lam_hi = max(
+        intens.lambda_star_plus, intens.lambda_star_minus,
+        params.lambda_plus, params.lambda_minus,
+    )
+    for n in range(controls.max_terms + 1):
+        if poisson_tail_bound(lam_hi * maturity, n) < controls.tail_epsilon:
+            return n
+    raise TruncationError(
+        f"switch-count series did not meet tail_epsilon within {controls.max_terms} terms"
+    )

@@ -10,7 +10,7 @@ from telegraph_market.numerics import (
     gauss_legendre_rule,
     geometric_root,
     log_factorial,
-    poisson_tail_bound,
+    poisson_tail_bounds,
 )
 
 
@@ -49,9 +49,10 @@ def test_log_factorial_matches_lgamma_at_any_size():
 
 
 def test_poisson_tail_bound_past_float_range_is_inf():
-    # log of the head term is about 745 here, past exp's range
-    assert poisson_tail_bound(750.0, 800) == math.inf
-    assert 0.0 < poisson_tail_bound(750.0, 1100) < 1e300
+    # log of the head term is about 745 at n = 800, past exp's range
+    bounds = poisson_tail_bounds(750.0, 1100)
+    assert bounds[800] == math.inf
+    assert 0.0 < bounds[1100] < 1e300
 
 
 def test_geometric_root_smooth_and_jump():

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from telegraph_market.pricing import (
     v_n,
 )
 
-from oracles import U_n_quadrature, u_n_quadrature
+from telegraph_market.quantile import _n_cutoff
+
+from oracles import U_n_quadrature, n_cutoff_loop, series_length_loop, u_n_quadrature
 
 CTRL = SeriesControls()
 
@@ -129,16 +132,12 @@ def test_v_system_pde():
         assert fd == pytest.approx(phi_kn(1, m, p, ab), rel=1e-4)
 
 
-def test_phi_kn_shares_the_kernel_cache():
-    # v_n passes one P-kernel cache to every phi_kn call; cached and fresh
-    # values agree bit for bit, and phi_{0,n} reads the odd order 2n + 1
-    ab, p = 0.6, np.array([0.3, 1.2])
-    cache = {}
-    for k, n in ((0, 3), (2, 3), (3, 4), (1, 1)):
-        np.testing.assert_array_equal(
-            phi_kn(k, n, p, ab, cache=cache), phi_kn(k, n, p, ab)
-        )
-    assert sorted(cache) == [2, 5, 6, 7, 8]
+def test_phi_kn_zero_is_the_odd_kernel():
+    # phi_{0,n} reads the one odd order 2n + 1 of the (-) kernel
+    p = np.array([0.3, 1.2])
+    for ab in (0.6, -1.3):
+        for n in range(6):
+            np.testing.assert_array_equal(phi_kn(0, n, p, ab), P_n(p, 2 * n + 1, -1, ab))
 
 
 def test_transport_kernel_overflow_is_typed():
@@ -445,6 +444,87 @@ def test_call_price_truncation_budget(asym_params):
         )
 
 
+def _random_market(rng):
+    """An admissible market with lambda*_pm in [0.1, 60]: c_pm = r_pm -
+    lambda*_pm h_pm, drawn again until c_- <= c_+."""
+    while True:
+        lam_star = rng.uniform(0.1, 60.0, 2)
+        h = rng.uniform(0.02, 0.9, 2) * rng.choice([-1.0, 1.0], 2)
+        r = rng.uniform(0.0, 0.1, 2)
+        c = r - lam_star * h
+        if c[1] <= c[0]:
+            return ModelParams(
+                c_plus=float(c[0]), c_minus=float(c[1]),
+                lambda_plus=rng.uniform(0.1, 10.0), lambda_minus=rng.uniform(0.1, 10.0),
+                h_plus=float(h[0]), h_minus=float(h[1]),
+                r_plus=float(r[0]), r_minus=float(r[1]),
+                s0=100.0, sigma0=int(rng.choice([-1, 1])),
+            )
+
+
+def _stops(params, t_min, t_max, controls, weight_u, weight_U):
+    """(call series stop, quantile cutoff), each a TruncationError where the
+    budget runs out; RuntimeWarnings raise."""
+    intens = martingale_intensities(params)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stop in (
+            lambda: pricing.series_length(
+                t_min, t_max, controls,
+                *pricing._call_series(params, intens, weight_u, weight_U),
+            ),
+            lambda: _n_cutoff(params, intens, t_max, controls),
+        ):
+            try:
+                out.append(stop())
+            except TruncationError:
+                out.append(TruncationError)
+    return out
+
+
+def test_series_length_matches_the_loop():
+    # the one array stop gives the per-n loops' index on random admissible
+    # markets, lambda* T up to ~1200, where masses underflow against
+    # infinite bounds; Python and numpy floats alike raise no RuntimeWarning
+    rng = np.random.default_rng(17)
+    outcomes = set()  # (call stop raised, quantile cutoff raised)
+    for _ in range(300):
+        params = _random_market(rng)
+        t_max = rng.uniform(0.01, 20.0)
+        t_min = t_max * rng.choice([1.0, rng.uniform(0.0, 1.0)])
+        strike = rng.uniform(20.0, 300.0)
+        controls = SeriesControls(max_terms=int(rng.choice([120, 400, 2000])))
+        weight_U = params.s0 * rng.uniform(0.5, 2.0)
+        intens = martingale_intensities(params)
+        try:
+            ref = series_length_loop(
+                t_min, t_max, params, intens, controls, strike, weight_U
+            )
+        except TruncationError:
+            ref = TruncationError
+        try:
+            ref_cut = n_cutoff_loop(params, intens, t_max, controls)
+        except TruncationError:
+            ref_cut = TruncationError
+        as_numpy = replace(params, **{
+            f.name: np.float64(getattr(params, f.name))
+            for f in fields(params) if f.name != "sigma0"
+        })
+        for market, f64 in ((params, float), (as_numpy, np.float64)):
+            got, got_cut = _stops(
+                market, f64(t_min), f64(t_max), controls, f64(strike), f64(weight_U)
+            )
+            assert got_cut == ref_cut
+            if ref is TruncationError:
+                assert got is TruncationError
+            else:
+                assert got[0] == ref[0]
+                assert got[1] == pytest.approx(ref[1], rel=1e-15, abs=0.0)
+        outcomes.add((ref is TruncationError, ref_cut is TruncationError))
+    assert len(outcomes) == 4  # each stop both stops and raises in the draw
+
+
 # markets whose rays pass through y = 0 for n = 0, so x = K lies exactly on
 # the slow ray, on the fast ray, or on the single ray of the c_+ = c_- market
 _RAY_MARKETS = {
@@ -660,3 +740,31 @@ def test_european_price_F_matches_series_call(asym_params):
         asym_params, CTRL, payoff_breaks=(spec.strike,),
     )
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_european_price_F_equal_velocities():
+    # c_+ = c_-: the log-price drift is deterministic and the value is one
+    # sum of full masses times payoff values (lambda* = 3 in both regimes)
+    params = ModelParams(
+        c_plus=-0.1, c_minus=-0.1, lambda_plus=2.0, lambda_minus=1.5,
+        h_plus=0.05, h_minus=0.05, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=+1,
+    )
+    for maturity in (0.5, 1.0, 2.5):
+        for strike in (80.0, 100.0, 125.0):
+            call = european_price_F(
+                0.0, params.s0, params.sigma0,
+                lambda s: max(s - strike, 0.0), maturity, params, CTRL,
+            )
+            assert type(call) is float
+            ref = call_price(params, CallSpec(strike, maturity), CTRL).price
+            # the branch stops on the bare mass tail, without the payoff's
+            # size (~S0): it leaves up to 8.2e-12 of the sum here
+            assert call == pytest.approx(ref, rel=1e-11, abs=1e-13 * params.s0)
+        one = european_price_F(
+            0.0, params.s0, params.sigma0, lambda s: 1.0, maturity, params, CTRL
+        )
+        assert one == pytest.approx(math.exp(-params.r_plus * maturity), rel=1e-12)
+        stock = european_price_F(
+            0.0, params.s0, params.sigma0, lambda s: s, maturity, params, CTRL
+        )
+        assert stock == pytest.approx(params.s0, rel=1e-12)
