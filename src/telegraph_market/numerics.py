@@ -103,12 +103,12 @@ def poisson_tail_bounds(rate_t: float, n_max: int) -> np.ndarray:
     rate_t^{n+1} / (n+1)! over 1 - rate_t / (n + 2); valid (and finite) once
     n + 2 > rate_t, else +inf. A bound past the float range is +inf as well.
     """
-    n = np.arange(n_max + 1)
+    k = np.arange(1, n_max + 2)  # n + 1
     if rate_t <= 0.0:
-        return np.zeros(n.size)
-    ratio = rate_t / (n + 2)
+        return np.zeros(k.size)
+    ratio = rate_t / (k + 1)
     with np.errstate(over="ignore", divide="ignore"):
-        head = np.exp((n + 1) * math.log(rate_t) - log_factorial(n + 1))
+        head = np.exp(k * math.log(rate_t) - log_factorial(k))
         return np.where(ratio < 1.0, head / (1.0 - ratio), math.inf)
 
 
