@@ -130,6 +130,8 @@ def replication_backtest(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    if not paths:
+        raise ValueError("replication needs at least one path")
     if pricer_f is None:
         pricer_f = make_call_pricer(params, spec, controls)
     if payoff is None:

@@ -72,6 +72,13 @@ def simulate_terminals(
     return n_sw, occ
 
 
+def _check_n_paths(n_paths: int) -> None:
+    """A standard error needs at least two paths; refuse fewer before any
+    sampling."""
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+
+
 def _estimate(vals: np.ndarray, seed: int) -> McEstimate:
     n_paths = vals.size
     return McEstimate(
@@ -93,6 +100,7 @@ def mc_price(
 ) -> McEstimate:
     """Monte Carlo estimate of E[B(T)^{-1} payoff(S(T))] under the physical
     or martingale measure."""
+    _check_n_paths(n_paths)
     if measure == "martingale":
         intens = martingale_intensities(params)
         lam_p, lam_m = intens.lambda_star_plus, intens.lambda_star_minus
@@ -117,6 +125,7 @@ def mc_price_girsanov(
 ) -> McEstimate:
     """Martingale-measure price via physical simulation reweighted by the
     Girsanov density (cross-check route for the direct lambda* simulation)."""
+    _check_n_paths(n_paths)
     intens = martingale_intensities(params)
     st = PathState(params.sigma0, t_horizon, *simulate_terminals(
         params, t_horizon, n_paths, seed, n_workers=n_workers
@@ -138,6 +147,7 @@ def mc_success_probability(
     n_workers: int = 1,
 ) -> McEstimate:
     """Fraction of physical paths inside the quantile-hedging success set."""
+    _check_n_paths(n_paths)
     n_sw, occ0 = simulate_terminals(
         params, solution.maturity, n_paths, seed, n_workers=n_workers
     )
@@ -203,6 +213,7 @@ def arbitrage_demo(
     jumps under the martingale measure the same strategy has zero expected
     discounted profit (negative control).
     """
+    _check_n_paths(n_paths)
     if not params.s0 < level_a < level_b:
         raise ValueError("levels must satisfy s0 < A < B")
     if measure == "physical":

@@ -21,7 +21,7 @@ import numpy as np
 Regime = int  # +1 or -1
 
 _UINT64_MASK = (1 << 64) - 1
-_CHUNK_ROWS = 16  # rows of exponential waits drawn per chunk (even: rates alternate)
+_CHUNK_ROWS = 4  # rows of exponential waits drawn per chunk (even: rates alternate)
 
 
 def check_regime(sigma: int) -> int:
@@ -159,11 +159,17 @@ def sample_switch_times(
     """Switch times of ``n_cols`` independent paths, shape (rows, n_cols).
 
     Standard exponentials from ``path_rng(seed, key)`` are drawn row-major in
-    chunks of ``_CHUNK_ROWS`` rows and divided by the alternating rates
+    chunks of ``_CHUNK_ROWS`` (4) rows and divided by the alternating rates
     lambda_{sigma0}, lambda_{-sigma0}, ...; the running sum (added row by row,
     the same sums in the same order as ``np.cumsum``) is carried across
     chunks, drawn until every column has passed the horizon: column j holds
     path j's switch times in increasing order, ending past the horizon.
+
+    The chunk size must be even, so that every chunk's rates start with
+    lambda_{sigma0}. Any even size then puts the same exponentials in the
+    same rows, because one Philox stream fills them row after row; a
+    smaller chunk only stops sooner, and rows past the horizon change no
+    path quantity.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -193,17 +199,20 @@ def switch_state(
     ``switch_times`` has shape (k, *batch), increasing along axis 0, and
     ``t`` broadcasts against the batch shape. N is right-continuous (it
     counts switches <= t). The occupation sums the even-index segments
-    between the saturated boundaries 0, min(tau_1, t), ..., min(tau_k, t), t:
-    segments beyond t collapse to zero length.
+    between the saturated boundaries 0, min(tau_1, t), ..., min(tau_k, t), t,
+    that is min(tau_1, t), min(tau_3, t) - min(tau_2, t), ... and, for even
+    k, t - min(tau_k, t): segments beyond t collapse to zero length. They
+    are added one at a time, the same additions in the same order as a
+    row-by-row axis-0 sum over the boundaries' differences, without building
+    either array.
     """
     t = np.asarray(t, dtype=float)
     capped = np.minimum(switch_times, t)
-    batch = capped.shape[1:]
+    k, batch = capped.shape[0], capped.shape[1:]
     n = np.sum(switch_times <= t, axis=0)
-    bounds = np.concatenate(
-        (np.zeros((1, *batch)), capped, np.broadcast_to(t, (1, *batch)))
-    )
-    occ = np.sum(np.diff(bounds, axis=0)[0::2], axis=0)
+    occ = np.array(np.broadcast_to(capped[0] if k else t, batch))
+    for j in range(2, k + 1, 2):
+        occ += (capped[j] if j < k else t) - capped[j - 1]
     return n, occ
 
 

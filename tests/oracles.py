@@ -6,8 +6,10 @@ forward equations, the series terms u_n / U_n are recomputed by adaptive
 quadrature against the per-switch densities, the quantile-hedging
 thresholds are found by scalar bracketed bisection in z, the arbitrage
 demo's strategy is walked segment by segment on one path at a time, the
-MGF is summed over switch counts with one Gauss-Legendre integral per n, and
-the series stops are found by a per-n loop over a scalar tail bound.
+MGF is summed over switch counts with one Gauss-Legendre integral per n,
+the series stops are found by a per-n loop over a scalar tail bound, and the
+starting-regime occupation is summed from the differences of the full
+boundary array.
 """
 
 from __future__ import annotations
@@ -356,3 +358,28 @@ def n_cutoff_loop(params: ModelParams, intens: MartingaleIntensities,
     raise TruncationError(
         f"switch-count series did not meet tail_epsilon within {controls.max_terms} terms"
     )
+
+
+def switch_state_concat_diff(
+    switch_times: np.ndarray, t: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N(t), time spent in the starting regime on [0, t]) from switch times,
+    by concatenating the boundaries 0, min(tau_1, t), ..., min(tau_k, t), t
+    and summing every other difference (reference for
+    ``model.switch_state``).
+
+    ``switch_times`` has shape (k, *batch), increasing along axis 0, and
+    ``t`` broadcasts against the batch shape. N is right-continuous (it
+    counts switches <= t). The occupation sums the even-index segments
+    between the saturated boundaries 0, min(tau_1, t), ..., min(tau_k, t), t:
+    segments beyond t collapse to zero length.
+    """
+    t = np.asarray(t, dtype=float)
+    capped = np.minimum(switch_times, t)
+    batch = capped.shape[1:]
+    n = np.sum(switch_times <= t, axis=0)
+    bounds = np.concatenate(
+        (np.zeros((1, *batch)), capped, np.broadcast_to(t, (1, *batch)))
+    )
+    occ = np.sum(np.diff(bounds, axis=0)[0::2], axis=0)
+    return n, occ

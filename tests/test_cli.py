@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,25 @@ def test_price_mc_fields(cfg, capsys):
     params, controls = parse_config(CONFIG)
     ref = call_price(params, CallSpec(100.0, 1.0), controls).price
     assert abs(doc["price"] - ref) < 3 * doc["std_error"]
+
+
+@pytest.mark.parametrize("command, n_paths, message", [
+    ("price", 1, "n_paths must be at least 2, got 1"),
+    ("price", 0, "n_paths must be at least 2, got 0"),
+    ("hedge", 0, "replication needs at least one path"),
+])
+def test_too_few_paths_exit_code(cfg, capsys, command, n_paths, message):
+    # one MC path printed a nan standard error (not JSON) with numpy
+    # warnings, and zero paths failed inside numpy: now one message, exit 1
+    method = ["--method", "mc"] if command == "price" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg, "--strike", "100", "--maturity", "1",
+                     *method, "--paths", str(n_paths)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "nan" not in captured.out
+    assert captured.err == f"error: {message}\n"
 
 
 def test_price_merton_method(tmp_path, capsys):

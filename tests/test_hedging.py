@@ -152,3 +152,9 @@ def test_replication_exact_on_no_switch_path(pricer_and_params):
         [path], spec, params, 4000, pricer_f=pricer, controls=CTRL
     )
     assert stats.max_abs_error < 2e-3 * params.s0
+
+
+def test_replication_refuses_no_paths(pricer_and_params):
+    pricer, params, spec = pricer_and_params
+    with pytest.raises(ValueError, match="replication needs at least one path"):
+        replication_backtest([], spec, params, 10, pricer_f=pricer, controls=CTRL)

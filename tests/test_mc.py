@@ -14,6 +14,7 @@ from telegraph_market.model import (
     sample_switch_times,
 )
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
+from telegraph_market.quantile import QuantileSolution
 
 from oracles import strategy_profit
 
@@ -93,6 +94,40 @@ def test_martingale_identity_discounted_stock(asym_params):
 def test_mc_measure_validation(asym_params):
     with pytest.raises(ValueError):
         mc.mc_price(asym_params, lambda s: s, 1.0, 100, seed=1, measure="risk")
+
+
+@pytest.mark.parametrize("n_paths", [1, 0, -3])
+def test_estimators_refuse_fewer_than_two_paths(asym_params, n_paths, monkeypatch):
+    # one path has no standard error (it read nan) and none had no mean;
+    # every estimator refuses before it samples anything
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking n_paths")
+
+    monkeypatch.setattr(mc, "sample_switch_times", no_sampling)
+    payoff = lambda s: np.maximum(s - 100.0, 0.0)
+    solution = QuantileSolution(
+        gamma=1.0, regime_case="", thresholds=(None,), success_probability=1.0,
+        budget=0.0, maturity=1.0, a=0.0, b=0.0,
+    )
+    jump_free = replace(
+        asym_params, h_plus=0.0, h_minus=0.0, r_plus=0.0, r_minus=0.0
+    )
+    calls = (
+        lambda: mc.mc_price(asym_params, payoff, 1.0, n_paths, seed=1),
+        lambda: mc.mc_price(asym_params, payoff, 1.0, n_paths, seed=1, measure="physical"),
+        lambda: mc.mc_price_girsanov(asym_params, payoff, 1.0, n_paths, seed=1),
+        lambda: mc.mc_success_probability(asym_params, solution, n_paths, seed=1),
+        lambda: mc.arbitrage_demo(jump_free, 105.0, 115.0, 1.0, n_paths, seed=1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n_paths must be at least 2, got {n_paths}"):
+            call()
+
+
+def test_two_paths_give_finite_estimates(asym_params):
+    est = mc.mc_price(asym_params, lambda s: s, 1.0, 2, seed=3)
+    assert est.n_paths == 2
+    assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
 
 def test_arbitrage_demo_jump_free():

@@ -4,6 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import telegraph_market.model as model
+from telegraph_market import mc
+from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import (
     ModelParams,
     RegimePath,
@@ -19,8 +22,11 @@ from telegraph_market.model import (
     sample_switch_times,
     stock_price,
     switch_count,
+    switch_state,
     telegraph_value,
 )
+
+from oracles import switch_state_concat_diff
 
 
 def test_params_validation(asym_params):
@@ -62,15 +68,114 @@ def test_sample_switch_times_carries_one_stream_across_chunks():
         (+1, 10.0, 9.72, 1), (-1, 9.72, 10.0, 1), (+1, 10.0, 9.72, 300), (-1, 9.72, 10.0, 300)
     ):
         times = sample_switch_times(sigma0, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=n_cols)
-        rows = times.shape[0]
-        # whole chunks of 16 rows, the last one needed by some column
-        assert rows > 16 and rows % 16 == 0
-        assert np.all(times[-1] > 3.0) and np.any(times[rows - 17] <= 3.0)
+        rows, chunk = times.shape[0], model._CHUNK_ROWS
+        # whole chunks, the last one needed by some column
+        assert rows > chunk and rows % chunk == 0
+        assert np.all(times[-1] > 3.0) and np.any(times[rows - chunk - 1] <= 3.0)
         rates = np.where(np.arange(rows) % 2 == 0, first, second)[:, None]
         one_shot = np.cumsum(
             path_rng(4, 2).standard_exponential(size=(rows, n_cols)) / rates, axis=0
         )
         assert np.array_equal(times, one_shot)
+
+
+def test_chunk_size_keeps_every_number(monkeypatch, asym_params):
+    # one Philox stream fills the rows in order, so every even chunk size
+    # gives the same switch times, terminal states and strategy profits;
+    # the size must be even so that each chunk's rates start with lambda_{sigma0}
+    assert model._CHUNK_ROWS % 2 == 0
+    fast = replace(asym_params, lambda_plus=10.0, lambda_minus=9.72)
+    jump_free = ModelParams(
+        c_plus=0.4, c_minus=-0.3, lambda_plus=1.2, lambda_minus=1.0,
+        h_plus=0.0, h_minus=0.0, r_plus=0.0, r_minus=0.0, s0=100.0, sigma0=-1,
+    )
+
+    def run():
+        terminals = []
+        for params, horizon in ((asym_params, 1.0), (fast, 3.0)):
+            intens = martingale_intensities(params)
+            for lam in ((None, None), (intens.lambda_star_plus, intens.lambda_star_minus)):
+                terminals.extend(mc.simulate_terminals(params, horizon, 5_000, 21, *lam))
+        profits = mc.arbitrage_demo(jump_free, 105.0, 115.0, 1.0, 5_000, seed=22).profits
+        paths = [
+            sample_path(fast, 3.0, seed=23, path_index=i).switch_times for i in range(50)
+        ]
+        return terminals, profits, paths
+
+    runs = []
+    for rows in (2, 4, 16):
+        monkeypatch.setattr(model, "_CHUNK_ROWS", rows)
+        runs.append(run())
+    (terminals, profits, paths), *others = runs
+    for other_terminals, other_profits, other_paths in others:
+        assert all(np.array_equal(a, b) for a, b in zip(terminals, other_terminals))
+        assert np.array_equal(profits, other_profits)
+        assert paths == other_paths
+
+
+_EPS = np.finfo(float).eps
+
+
+def _check_against_concat_diff(times, t, n, occ):
+    """(n, occ) against the concatenate/diff oracle on the same input.
+
+    Where the batch holds one path and it has at least eight even-index
+    segments, numpy sums them pairwise in blocks of eight, not row by row,
+    so the oracle's last bits may differ there; everywhere else its sum runs
+    row by row, in the same order as ``switch_state``.
+    """
+    n_ref, occ_ref = switch_state_concat_diff(times, t)
+    assert np.array_equal(n, n_ref) and np.shape(n) == np.shape(n_ref)
+    assert np.shape(occ) == np.shape(occ_ref)
+    if np.size(occ) > 1 or times.shape[0] // 2 + 1 < 8:
+        assert np.array_equal(occ, occ_ref)
+    else:
+        assert np.allclose(occ, occ_ref, rtol=4 * _EPS, atol=0.0)
+
+
+@pytest.mark.parametrize("lam_plus, lam_minus, horizon", [
+    (2.0, 1.5, 1.0), (1.4, 1.75, 1.0), (10.0, 9.72, 3.0),
+])
+def test_switch_state_matches_concat_diff_oracle(lam_plus, lam_minus, horizon):
+    rng = np.random.default_rng(41)
+    for sigma0 in (+1, -1):
+        for n_cols in (1, 300):
+            times = sample_switch_times(
+                sigma0, lam_plus, lam_minus, horizon, seed=42, key=n_cols, n_cols=n_cols
+            )
+            for t in (horizon, horizon / 2, 0.0, rng.uniform(0.0, horizon, n_cols)):
+                n, occ = switch_state(times, t)
+                assert n.shape == occ.shape == (n_cols,)
+                _check_against_concat_diff(times, t, n, occ)
+                # a column's occupation does not depend on the batch around it
+                alone = switch_state(times[:, :1], np.asarray(t).ravel()[:1])[1]
+                assert np.array_equal(alone, occ[:1])
+
+
+def test_path_state_matches_concat_diff_oracle():
+    fast = ModelParams(
+        c_plus=0.5, c_minus=-0.3, lambda_plus=10.0, lambda_minus=9.72,
+        h_plus=-0.05, h_minus=0.05, r_plus=0.0, r_minus=0.0, s0=100.0, sigma0=1,
+    )
+    paths = [
+        RegimePath(sigma0=+1, switch_times=(), horizon=2.0),
+        RegimePath(sigma0=-1, switch_times=(0.5,), horizon=2.0),
+        RegimePath(sigma0=+1, switch_times=(0.5, 1.25), horizon=2.0),
+        RegimePath(sigma0=-1, switch_times=(0.1, 0.4, 1.9), horizon=2.0),
+        *(sample_path(fast, 2.0, seed=43, path_index=i) for i in range(20)),
+    ]
+    counts = {len(path.switch_times) for path in paths}
+    assert 0 in counts and any(c % 2 for c in counts) and any(c > 14 for c in counts)
+    for path in paths:
+        times = np.asarray(path.switch_times, dtype=float)
+        for t in (2.0, 0.7, np.array(0.0), np.linspace(0.0, 2.0, 9),
+                  np.array([1.5]), np.linspace(0.0, 2.0, 6).reshape(2, 3)):
+            st = path_state(path, t)
+            assert st.n.shape == st.occ.shape == np.shape(t)
+            _check_against_concat_diff(times.reshape(-1, *[1] * np.ndim(t)), t, st.n, st.occ)
+            # the same occupation as inside a batch of two query times
+            pair = path_state(path, np.full((2, *np.shape(t)), t))
+            assert np.array_equal(pair.occ[0], st.occ)
 
 
 def test_path_state_counts_and_occupation():
