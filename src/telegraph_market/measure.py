@@ -107,19 +107,13 @@ def martingale_intensities(params: ModelParams) -> MartingaleIntensities:
     )
 
 
-def girsanov_density(
-    path: RegimePath,
-    params: ModelParams,
-    t: float,
-    intens: MartingaleIntensities | None = None,
-) -> float:
+def girsanov_density(path: RegimePath, params: ModelParams, t: float) -> float:
     """Radon-Nikodym density Z(t) = e^{X*(t)} kappa*_{N(t)} along a path.
 
     X* is the telegraph process with velocities c*_s driven by the same
     switch times, and kappa* uses the Girsanov jump sizes h*_s.
     """
-    if intens is None:
-        intens = martingale_intensities(params)
+    intens = martingale_intensities(params)
     return float(path_state(path, t).jump_exponential(
         intens.c_star_plus, intens.c_star_minus,
         intens.h_star_plus, intens.h_star_minus,

@@ -13,7 +13,7 @@ is a function of those two numbers (``PathState``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +28,15 @@ def check_regime(sigma: int) -> int:
     if sigma not in (+1, -1):
         raise ValueError(f"regime must be +1 or -1, got {sigma!r}")
     return sigma
+
+
+def check_finite(record: object) -> None:
+    """Raise ValueError naming the first field of a dataclass instance that
+    is not a finite number."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         check_regime(self.sigma0)
+        check_finite(self)
         if not (self.lambda_plus > 0 and self.lambda_minus > 0):
             raise ValueError("switch intensities must be positive")
         if not (self.h_plus > -1 and self.h_minus > -1):

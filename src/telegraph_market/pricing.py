@@ -13,23 +13,28 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
   (``v_n``, ``phi_kn``, ``P_n``). Every order of those kernels comes from
   one table per point set (``_kernel_table``), built by a backward
   recurrence over the order in O(n) array operations, with large scales
-  folded into its exponent. ``call_u_U`` splits the points at the rays
-  y = c_- t and y = c_+ t once for u and U (``_split``). Terms above the
-  fast ray are 0. Below the slow ray a term is the full mass rho_n(t), which
-  depends on t alone, so the below-ray part of a sum is read from a
+  folded into its exponent. ``call_u_U`` sums a whole value surface: it
+  fixes one series stop for all its points, and splits the points at the
+  rays y = c_- t and y = c_+ t once for u and U (``_split``). Terms above
+  the fast ray are 0. Below the slow ray a term is the full mass rho_n(t),
+  which depends on t alone, so the below-ray part of a sum is read from a
   cumulative table over the distinct t of the whole call (the backtest's
-  grid times repeat across paths). Only the wedge between the rays
-  evaluates ``v_n``. On the benchmark's hedge inputs (one round,
-  288 390 points) 86.8% of the (point, n) pairs lie below, 12.3% in the
-  wedge and 0.9% above. The wedge stays on the transport kernels: its
+  grid times repeat across paths), one for each of u and U. Only the wedge
+  between the rays evaluates ``v_n``. On the benchmark's hedge inputs (one
+  round, 288 390 points) 86.8% of the (point, n) pairs lie below, 12.3% in
+  the wedge and 0.9% above. The wedge stays on the transport kernels: its
   0.81M pairs at 48 Gauss-Legendre nodes would be 39M density evaluations
   for each of u and U, about 2.6 s each at 67 ns per node, while the
   kernels take 0.12 s for both (2 vCPU).
 - ``u_n`` / ``U_n`` give single terms through the same region split; they
   are the per-term reference the tests compare the integrated terms with.
 
-Every switch-count series stops at the one rule of ``series_length``: the
-first n where weighted Poisson-type tail bounds fall below tail_epsilon.
+The u and U series take their rates from ``series_rates``. Every
+switch-count series except the general branch of ``european_price_F``
+stops at the one rule of ``series_length``: the first n where weighted
+Poisson-type tail bounds fall below tail_epsilon; that branch stops once
+its last three envelope bounds are below tail_epsilon relative to the sum
+and not rising.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .measure import MartingaleIntensities, martingale_intensities
 from .model import (
     ModelParams,
     Regime,
+    check_finite,
     check_regime,
     linear_transform_coeffs,
     log_kappa_sequence,
@@ -58,6 +64,13 @@ from .numerics import (
 )
 
 _HYP_MAX_TERMS = 500
+# points per slice of ``call_u_U``. Each series term makes temporaries of a
+# slice's size (the region split, the gathered masses) and a kernel table
+# over the slice's wedge points, which the allocator may return to the OS
+# and fault back in on every term. On the benchmark's hedge round (2 vCPU)
+# 2^14 points fault about a third as many pages as 2^15 but run slower, and
+# 2^16 fault more and run no faster
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,6 +81,7 @@ class CallSpec:
     maturity: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.strike > 0:
             raise ValueError("strike must be positive")
         if not self.maturity > 0:
@@ -82,6 +96,7 @@ class SeriesControls:
     max_terms: int = 400
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.tail_epsilon > 0:
             raise ValueError("tail_epsilon must be positive")
         if self.max_terms < 1:
@@ -455,33 +470,32 @@ class _Split(NamedTuple):
 
     ``wedge[n]`` indexes the points in the wedge for n, at transport
     coordinates ``p[n]`` = (c_+ t - y + b_n) / dc and
-    ``q[n]`` = (y - b_n - c_- t) / dc. ``order`` lists n by descending b_n;
-    a point lies below the slow ray for the first ``below`` of them.
+    ``q[n]`` = (y - b_n - c_- t) / dc. A point lies below the slow ray for
+    the first ``below`` of the n in ``order``, the n by descending b_n.
     """
 
     wedge: list[np.ndarray]
     p: list[np.ndarray]
     q: list[np.ndarray]
-    order: np.ndarray
     below: np.ndarray
 
 
 def _split(
-    y: np.ndarray, t: np.ndarray, b: np.ndarray, c_p: float, c_m: float
+    y: np.ndarray, t: np.ndarray, b: np.ndarray, order: np.ndarray,
+    c_p: float, c_m: float,
 ) -> _Split:
     lo = y - c_p * t  # b_n >= lo: on or below the fast ray
     hi = y - c_m * t  # b_n > hi: below the slow ray
-    order = np.argsort(-b, kind="stable")
     below = np.searchsorted(-b[order], -hi, side="right" if c_p == c_m else "left")
     if c_p == c_m:
         none = [np.empty(0, dtype=np.intp)] * b.size
-        return _Split(none, none, none, order, below)
+        return _Split(none, none, none, below)
     # one comparison per n keeps every temporary at the size of the points
     wedge = [np.flatnonzero((lo <= b_n) & (hi >= b_n)) for b_n in b]
     dc = c_p - c_m
     p = [(b_n - lo[w]) / dc for b_n, w in zip(b, wedge)]
     q = [(hi[w] - b_n) / dc for b_n, w in zip(b, wedge)]
-    return _Split(wedge, p, q, order, below)
+    return _Split(wedge, p, q, below)
 
 
 def _wedge_term(
@@ -533,7 +547,7 @@ def u_n(
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
     t_flat = t_arr.ravel()
-    split = _split(y_arr.ravel(), t_flat, np.zeros(1), c_p, c_m)
+    split = _split(y_arr.ravel(), t_flat, np.zeros(1), np.arange(1), c_p, c_m)
     out = np.zeros(t_flat.size)
     out[split.wedge[0]] = _wedge_term(
         split.p[0], split.q[0], n, sigma, lam_p, lam_m, r_p, r_m
@@ -638,15 +652,17 @@ def series_terms(
     return out
 
 
-def tilted_intensities(
-    params: ModelParams, lam_p: float, lam_m: float
-) -> tuple[float, float]:
-    """Stock-tilted intensities lambda_pm (1 + h_pm) of the U series."""
-    lbp = lam_p * (1.0 + params.h_plus)
-    lbm = lam_m * (1.0 + params.h_minus)
+def series_rates(
+    params: ModelParams, intens: MartingaleIntensities
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """Rates (lam_+, lam_-, r_+, r_-) of the u and U series of a call: u at
+    the martingale intensities, discounted at the market's rates, and U at
+    the tilted intensities lambda*_pm (1 + h_pm), undiscounted."""
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    lbp, lbm = lsp * (1.0 + params.h_plus), lsm * (1.0 + params.h_minus)
     if lbp <= 0 or lbm <= 0:
         raise ValueError("tilted intensities must be positive")
-    return lbp, lbm
+    return (lsp, lsm, params.r_plus, params.r_minus), (lbp, lbm, 0.0, 0.0)
 
 
 def series_length(
@@ -686,48 +702,15 @@ def _call_series(
     weight_u: float,
     weight_U: float,
 ) -> tuple[tuple[float, float, float, float], ...]:
-    """The u and U series of a call as ``series_length`` takes them: u at the
-    martingale intensities, discounted at the smaller rate, and U at the
-    tilted intensities."""
-    lam = intens.lambda_star_plus, intens.lambda_star_minus
-    lam_bar = tilted_intensities(params, *lam)
-    r_min = min(params.r_plus, params.r_minus)
-    return (
-        (weight_u, min(lam), max(lam), r_min),
-        (weight_U, min(lam_bar), max(lam_bar), 0.0),
+    """The u and U series of a call as ``series_length`` takes them: each
+    at the smaller and larger of its intensities (``series_rates``),
+    discounted at its smaller rate."""
+    return tuple(
+        (weight, min(lam_p, lam_m), max(lam_p, lam_m), min(r_p, r_m))
+        for weight, (lam_p, lam_m, r_p, r_m) in zip(
+            (weight_u, weight_U), series_rates(params, intens)
+        )
     )
-
-
-class _FullMasses:
-    """Full-mass terms rho_n(s) of the u and U series over the distinct times
-    to maturity s of a set of points.
-
-    Below the slow ray a term depends on s alone, and points share few
-    distinct s (the backtest's grid times repeat across paths), so each row
-    is evaluated once per s. Both tables come from one ``_rho_rows`` each,
-    rebuilt to the longer length when a series needs more rows.
-    """
-
-    def __init__(
-        self,
-        t: np.ndarray,
-        sigma: Regime,
-        params: ModelParams,
-        intens: MartingaleIntensities,
-    ) -> None:
-        lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-        self.times = np.unique(t)
-        self.sigma = sigma
-        self.u_rates = (lsp, lsm, params.r_plus, params.r_minus)
-        self.U_rates = (*tilted_intensities(params, lsp, lsm), 0.0, 0.0)
-        self.u_rows = self.U_rows = np.empty((0, self.times.size))
-
-    def rows(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows n = 0..n_max (at least) of the u and U tables."""
-        if len(self.u_rows) <= n_max:
-            self.u_rows = _rho_rows(self.times, n_max, self.sigma, *self.u_rates)
-            self.U_rows = _rho_rows(self.times, n_max, self.sigma, *self.U_rates)
-        return self.u_rows, self.U_rows
 
 
 def call_u_U(
@@ -739,18 +722,17 @@ def call_u_U(
     controls: SeriesControls,
     weight_u: float,
     weight_U: float,
-    masses: _FullMasses | None = None,
 ) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Sums (u, U) of the u and U series at kappa-shifted arguments y - b_n,
     by the transport route on arrays of points.
 
-    Terms run up to the stopping index of ``series_length``, with the u and
-    U tails weighted by ``weight_u`` and ``weight_U``. One split of
-    the points (``_split``) serves u and U. Below the slow ray a term is the
-    full mass of the point's time to maturity, so the below-ray part of a
-    sum is one read of the cumulative full-mass table ``masses`` (built here
-    over t's distinct values when not given; a caller that splits a large
-    array passes one table for all its parts). Only the wedge points
+    Terms run up to the one stopping index of ``series_length`` over all
+    the points' times, with the u and U tails weighted by ``weight_u`` and
+    ``weight_U``. Below the slow ray a term is the full mass of the point's
+    time to maturity, so the below-ray part of a sum is one read of a
+    cumulative full-mass table over t's distinct values, built once per
+    call for each of u and U. The points are then taken ``_CHUNK`` at a
+    time: one split (``_split``) serves u and U, and only the wedge points
     evaluate the transport kernel, one ``_kernel_table`` per n. Raises
     TruncationError when a sum is not finite.
     """
@@ -765,32 +747,37 @@ def call_u_U(
         float(np.min(t_flat)), float(np.max(t_flat)), controls,
         *_call_series(params, intens, weight_u, weight_U),
     )
-    if masses is None:
-        masses = _FullMasses(t_flat, sigma, params, intens)
-    t_pos = np.searchsorted(masses.times, t_flat)  # every t is one of the times
     b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
-    split = _split(y_flat, t_flat, b, params.c_plus, params.c_minus)
-    wedge_n = [n for n, w in enumerate(split.wedge) if w.size]
-    beta = _beta_table(wedge_n[-1] // 2) if wedge_n else None
-    sums = []
-    for rows, rates in zip(masses.rows(n_used), (masses.u_rates, masses.U_rates)):
-        # cum[i] sums the rows of the first i shifts in ``split.order``
-        cum = np.zeros((n_used + 2, masses.times.size))
-        for i, n in enumerate(split.order):  # np.cumsum along axis 0 is strided
+    order = np.argsort(-b, kind="stable")
+    times, t_pos = np.unique(t_flat, return_inverse=True)
+    rates = series_rates(params, intens)
+    cums = []
+    for rows in (_rho_rows(times, n_used, sigma, *r) for r in rates):
+        # cum[i] sums the rows of the first i shifts in ``order``
+        cum = np.zeros((n_used + 2, times.size))
+        for i, n in enumerate(order):  # np.cumsum along axis 0 is strided
             np.add(cum[i], rows[n], out=cum[i + 1])
-        total = cum[split.below, t_pos]
-        for n in wedge_n:
-            total[split.wedge[n]] += _wedge_term(
-                split.p[n], split.q[n], n, sigma, *rates, beta
-            )
-        sums.append(total)
-    u_sum, U_sum = sums
-    if not (np.isfinite(u_sum).all() and np.isfinite(U_sum).all()):
+        cums.append(cum)
+    sums = np.empty((2, t_flat.size))
+    for lo in range(0, t_flat.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        split = _split(
+            y_flat[part], t_flat[part], b, order, params.c_plus, params.c_minus
+        )
+        wedge_n = [n for n, w in enumerate(split.wedge) if w.size]
+        beta = _beta_table(wedge_n[-1] // 2) if wedge_n else None
+        for total, cum, r in zip(sums[:, part], cums, rates):
+            total[:] = cum[split.below, t_pos[part]]
+            for n in wedge_n:
+                total[split.wedge[n]] += _wedge_term(
+                    split.p[n], split.q[n], n, sigma, *r, beta
+                )
+    if not np.isfinite(sums).all():
         raise TruncationError(f"transport series overflowed within {n_used + 1} terms")
-    shape = y_arr.shape
-    if shape == ():
-        return float(u_sum[0]), float(U_sum[0])
-    return u_sum.reshape(shape), U_sum.reshape(shape)
+    u_sum, U_sum = sums.reshape(2, *y_arr.shape)
+    if y_arr.ndim == 0:
+        return float(u_sum), float(U_sum)
+    return u_sum, U_sum
 
 
 def call_price(
@@ -815,20 +802,18 @@ def call_price(
         T, T, controls, *_call_series(params, intens, spec.strike, params.s0)
     )
     shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
-    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-    lbp, lbm = tilted_intensities(params, lsp, lsm)
+    rates = series_rates(params, intens)
     if cp == cm:
-        at_T = np.array([T])
         live = shifted <= cp * T
-        u_rows = _rho_rows(at_T, n_used, sigma, lsp, lsm, params.r_plus, params.r_minus)
-        U_rows = _rho_rows(at_T, n_used, sigma, lbp, lbm, 0.0, 0.0)
-        u_terms = np.where(live, u_rows[:, 0], 0.0)
-        U_terms = np.where(live, U_rows[:, 0], 0.0)
-    else:
-        u_terms = series_terms(
-            shifted, T, sigma, lsp, lsm, cp, cm, params.r_plus, params.r_minus
+        u_terms, U_terms = (
+            np.where(live, _rho_rows(np.array([T]), n_used, sigma, *r)[:, 0], 0.0)
+            for r in rates
         )
-        U_terms = series_terms(shifted, T, sigma, lbp, lbm, cp, cm, 0.0, 0.0)
+    else:
+        u_terms, U_terms = (
+            series_terms(shifted, T, sigma, lam_p, lam_m, cp, cm, r_p, r_m)
+            for lam_p, lam_m, r_p, r_m in rates
+        )
     u = float(np.sum(u_terms))
     U = float(np.sum(U_terms))
     price = params.s0 * U - spec.strike * u
@@ -880,7 +865,9 @@ def call_value_surface(
 ) -> np.ndarray | float:
     """Call value F(t, x, sigma) on arrays of times/prices (used by hedging).
 
-    At t = maturity returns the payoff.
+    At t = maturity returns the payoff. Every other point goes to one
+    ``call_u_U`` call, with the U tail weighted by the largest of their
+    prices, so the whole array shares one series stop.
     """
     if intens is None:
         intens = martingale_intensities(params)
@@ -898,34 +885,18 @@ def call_value_surface(
     out[expired] = np.maximum(x_arr[expired] - spec.strike, 0.0)
     live = np.flatnonzero(~expired.ravel())
     if live.size:
-        x_flat = x_arr.ravel()[live]
-        s_flat = s.ravel()[live]
-        vals = np.empty(live.size)
-        masses = _FullMasses(s_flat, sigma, params, intens)
-        # one full-mass table serves every chunk. Each series term makes
-        # temporaries of a chunk's size (the region split, the gathered
-        # masses) and a kernel table over the chunk's wedge points, which
-        # the allocator may return to the OS and fault back in on every
-        # term. On the benchmark's hedge round (2 vCPU) 2^14 points fault
-        # about a third as many pages as 2^15 but run slower, and 2^16
-        # fault more and run no faster
-        chunk = 1 << 15
-        for i in range(0, live.size, chunk):
-            xc = x_flat[i : i + chunk]
-            sc = s_flat[i : i + chunk]
-            u, U = call_u_U(
-                np.log(spec.strike / xc),
-                sc,
-                sigma,
-                params,
-                intens,
-                controls,
-                weight_u=spec.strike,
-                weight_U=float(np.max(xc)),
-                masses=masses,
-            )
-            vals[i : i + chunk] = xc * U - spec.strike * u
-        out.ravel()[live] = vals
+        x_live = x_arr.ravel()[live]
+        u, U = call_u_U(
+            np.log(spec.strike / x_live),
+            s.ravel()[live],
+            sigma,
+            params,
+            intens,
+            controls,
+            weight_u=spec.strike,
+            weight_U=float(np.max(x_live)),
+        )
+        out.ravel()[live] = x_live * U - spec.strike * u
     return float(out) if scalar else out
 
 

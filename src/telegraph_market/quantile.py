@@ -29,8 +29,8 @@ from .pricing import (
     SeriesControls,
     call_price,
     series_length,
+    series_rates,
     series_terms,
-    tilted_intensities,
 )
 
 Threshold = None | float | tuple[float, float]
@@ -293,12 +293,10 @@ def _excluded_value(
                 y_x, maturity, sig, params.lambda_plus, params.lambda_minus,
                 cp, cm, 0.0, 0.0,
             )))
-        lam_p, lam_m = intens.lambda_star_plus, intens.lambda_star_minus
-        lbp, lbm = tilted_intensities(params, lam_p, lam_m)
-        u_val = np.sum(series_terms(
-            y_x, maturity, sig, lam_p, lam_m, cp, cm, params.r_plus, params.r_minus
-        ))
-        u_big = np.sum(series_terms(y_x, maturity, sig, lbp, lbm, cp, cm, 0.0, 0.0))
+        u_val, u_big = (
+            np.sum(series_terms(y_x, maturity, sig, lam_p, lam_m, cp, cm, r_p, r_m))
+            for lam_p, lam_m, r_p, r_m in series_rates(params, intens)
+        )
         return float(params.s0 * u_big - strike * u_val)
 
     # slice n loses its mass above y1 minus its mass above y2: y2 = +inf for

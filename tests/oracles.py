@@ -25,7 +25,7 @@ from telegraph_market.errors import DivergenceError, TruncationError
 from telegraph_market.measure import MartingaleIntensities
 from telegraph_market.model import ModelParams, kappa, log_kappa_sequence
 from telegraph_market.numerics import gauss_legendre_nodes
-from telegraph_market.pricing import SeriesControls, tilted_intensities
+from telegraph_market.pricing import SeriesControls
 
 _MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf_series``
 _MGF_TAIL_EPS = 1e-10  # ``mgf_series`` stops once its tail bound is below this share of the sum
@@ -331,7 +331,7 @@ def series_length_loop(
     Raises TruncationError on budget exhaustion.
     """
     lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-    lbp, lbm = tilted_intensities(params, lsp, lsm)
+    lbp, lbm = lsp * (1.0 + params.h_plus), lsm * (1.0 + params.h_minus)
     r_min = min(params.r_plus, params.r_minus)
     u_mass = math.exp(-(r_min + min(lsp, lsm)) * t_min)
     U_mass = math.exp(-min(lbp, lbm) * t_min)

@@ -136,6 +136,42 @@ def test_too_few_paths_exit_code(cfg, capsys, command, n_paths, message):
     assert captured.err == f"error: {message}\n"
 
 
+_COMMAND_ARGS = {
+    "price": ["--strike", "100", "--maturity", "1"],
+    "simulate": ["--paths", "2", "--seed", "0", "--grid", "4", "--horizon", "1"],
+    "hedge": ["--strike", "100", "--maturity", "1", "--paths", "2", "--grid", "4"],
+}
+
+
+@pytest.mark.parametrize("command, config_line, flags, field", [
+    ("price", None, ["--maturity", "inf"], "maturity"),
+    ("price", None, ["--strike", "inf"], "strike"),
+    ("price", "c_plus = inf", [], "c_plus"),
+    ("price", "s0 = inf", [], "s0"),
+    ("price", "tail_epsilon = inf", [], "tail_epsilon"),
+    ("price", "lambda_plus = inf", [], "lambda_plus"),
+    ("simulate", "lambda_plus = inf", [], "lambda_plus"),
+    ("hedge", "lambda_plus = inf", [], "lambda_plus"),
+])
+def test_non_finite_input_exit_code(
+    tmp_path, capsys, command, config_line, flags, field
+):
+    # infinite inputs used to reach the series (exit 3 after 400 terms),
+    # math.log (exit 1 with "math domain error") or the sampler, or priced
+    # to a number (exit 0): now the field is refused by name, exit 1
+    text = CONFIG
+    if config_line is not None:
+        kept = [line for line in CONFIG.splitlines() if not line.startswith(f"{field} ")]
+        text = "\n".join([*kept, config_line, ""])
+    path = tmp_path / "model.cfg"
+    path.write_text(text)
+    code = main([command, "--config", str(path), *_COMMAND_ARGS[command], *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be finite, got inf\n"
+
+
 def test_price_merton_method(tmp_path, capsys):
     cfg = tmp_path / "merton.cfg"
     cfg.write_text(

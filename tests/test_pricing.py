@@ -607,20 +607,47 @@ def test_surface_on_the_rays(asym_params, market, sigma):
 
 
 def test_surface_across_chunks(asym_params):
-    # more points than one 2^15-point chunk, the same few times scattered
-    # over every chunk: one full-mass table serves all chunks
+    # more live points than one chunk, the same few times scattered over
+    # every chunk: one series stop and one full-mass table serve all chunks
     spec = CallSpec(strike=100.0, maturity=1.0)
     t0, x0 = _surface_points(asym_params, spec)
-    reps = (1 << 15) // t0.size + 50
+    live = t0 < spec.maturity
+    reps = pricing._CHUNK // np.count_nonzero(live) + 50
     order = np.random.default_rng(5).permutation(t0.size * reps)
     base = np.tile(np.arange(t0.size), reps)[order]
     vals = call_value_surface(t0[base], x0[base], +1, asym_params, spec, CTRL)
-    assert vals.size > 1 << 15
-    live = t0 < spec.maturity
+    assert np.count_nonzero(live[base]) > pricing._CHUNK
     ref = np.maximum(x0 - spec.strike, 0.0)
     ref[live] = _rebased_prices(asym_params, spec, t0[live], x0[live], +1)
     np.testing.assert_allclose(vals, ref[base], rtol=1e-10,
                                atol=1e-13 * asym_params.s0)
+
+
+def test_surface_chunk_size_keeps_values_and_one_stop(asym_params, monkeypatch):
+    # call_u_U fixes the series stop and the full-mass tables once for all
+    # its points and walks them in _CHUNK slices only for the region split
+    # and the wedge kernels: the slice size moves no value beyond rounding,
+    # and every surface call computes the stop once
+    spec = CallSpec(strike=100.0, maturity=1.0)
+    rng = np.random.default_rng(11)
+    t = rng.choice(np.linspace(0.0, spec.maturity, 41), 3000)  # t = T: expired
+    x = rng.uniform(60.0, 160.0, t.size)
+    assert (t == spec.maturity).any()
+    stops = []
+
+    def spy(*args, **kwargs):
+        stops.append(args)
+        return series_length(*args, **kwargs)
+
+    series_length = pricing.series_length
+    monkeypatch.setattr(pricing, "series_length", spy)
+    for sigma in (+1, -1):
+        vals = []
+        for chunk in (997, 1 << 15):
+            monkeypatch.setattr(pricing, "_CHUNK", chunk)
+            vals.append(call_value_surface(t, x, sigma, asym_params, spec, CTRL))
+        np.testing.assert_allclose(*vals, rtol=0, atol=1e-14 * asym_params.s0)
+    assert len(stops) == 4
 
 
 def test_surface_steep_market_many_terms():
