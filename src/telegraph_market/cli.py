@@ -20,7 +20,7 @@ from . import mc
 from .errors import ArbitrageError, BudgetError, TruncationError
 from .hedging import make_call_pricer, replication_backtest
 from .measure import martingale_intensities
-from .model import ModelParams, path_state, sample_path
+from .model import ModelParams, check_time, path_state, sample_path
 from .densities import DensityParams, density_total
 from .pricing import (
     CallSpec,
@@ -180,6 +180,7 @@ def cmd_price(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 def cmd_simulate(args: argparse.Namespace, out: io.TextIOBase) -> int:
     params, _ = parse_config(_read(args.config))
+    check_time("horizon", args.horizon)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["path_id", "t", "regime", "X", "J", "S", "B"])
     t_grid = np.linspace(0.0, args.horizon, args.grid + 1)
@@ -203,6 +204,7 @@ def cmd_density(args: argparse.Namespace, out: io.TextIOBase) -> int:
         lambda_plus=params.lambda_plus, lambda_minus=params.lambda_minus,
     )
     sigma = params.sigma0 if args.sigma is None else args.sigma
+    check_time("t", args.t)
     lo, hi = params.c_minus * args.t, params.c_plus * args.t
     x = np.linspace(lo, hi, args.points)
     val = density_total(x, args.t, sigma, dens)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError
-from .model import Regime, check_regime
+from .model import Regime, check_regime, check_time
 from .numerics import expm_2x2_row_sums, log_factorial
 
 _BESSEL_Z_MAX = 650.0  # I0 overflows float64 not far beyond this
@@ -139,18 +139,6 @@ def q_n(
     return out if out.ndim else float(out)
 
 
-def log_p_n_continuous(
-    x: np.ndarray | float,
-    t: float,
-    n: np.ndarray | int,
-    sigma: Regime,
-    params: DensityParams,
-) -> np.ndarray:
-    """log of the continuous n-switch density on the open support,
-    vectorized over n as in ``log_q_n``."""
-    return _density_exponent(x, t, sigma, params) + log_q_n(x, t, n, sigma, params)
-
-
 def _density_exponent(
     x: np.ndarray | float, t: float, sigma: Regime, params: DensityParams
 ) -> np.ndarray:
@@ -252,8 +240,7 @@ def density_total(
     At the support endpoints the continuous part is the one-sided limit.
     """
     check_regime(sigma)
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_time("t", t)
     x_arr = np.asarray(x, dtype=float)
     dc = params.delta_c
     lo, hi = params.c_minus * t, params.c_plus * t

@@ -365,8 +365,15 @@ def limit_scaling_check(
     h = exp(v_a / sqrt(lambda)) - 1, which reproduce the drift mu exactly and
     the variance v^2 in the limit.
     """
+    named = [("v_c", v_c), ("v_a", v_a), ("mu", mu), ("t_horizon", t_horizon)]
+    for name, value in [*named, *(("z", z) for z in z_values)]:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if v_c <= 0:
         raise ValueError("v_c must be positive (nondegenerate velocities)")
+    for m in levels:
+        if m < 1:
+            raise ValueError(f"levels must be at least 1, got {m}")
     v2 = v_c**2 + v_a**2
     errors = np.empty((len(levels), len(z_values)))
     for i, m in enumerate(levels):

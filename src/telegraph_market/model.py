@@ -39,6 +39,12 @@ def check_finite(record: object) -> None:
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
+def check_time(name: str, value: float) -> None:
+    """Raise ValueError naming a time that is not positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full market specification.
@@ -100,8 +106,7 @@ class RegimePath:
 
     def __post_init__(self) -> None:
         check_regime(self.sigma0)
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        check_time("horizon", self.horizon)
         prev = 0.0
         for tau in self.switch_times:
             if not prev < tau <= self.horizon:
@@ -181,8 +186,7 @@ def sample_switch_times(
     smaller chunk only stops sooner, and rows past the horizon change no
     path quantity.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    check_time("horizon", horizon)
     check_regime(sigma0)
     lam_first, lam_second = (
         (lam_plus, lam_minus) if sigma0 == +1 else (lam_minus, lam_plus)

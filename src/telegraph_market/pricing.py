@@ -5,8 +5,9 @@ price = S0 * U - K * u, where U is the same series as u evaluated at tilted
 intensities. Each term u_n is the discounted mass of the closed-form n-switch
 density above the kappa-shifted log-strike. Two routes compute the terms:
 
-- ``call_price`` integrates the densities (``densities.log_p_n_continuous``)
-  for every switch count in one array op (``series_terms``);
+- ``call_price`` integrates the densities for every switch count in one
+  array op (``series_terms``), which takes u, U and the quantile hedge's
+  sums from one matrix of the intensity-free density part (``log_q_n``);
 - ``call_value_surface`` and the hedge path use the transport route: each
   term solves a pair of coupled first-order transport equations with a
   combinatorial solution built from confluent hypergeometric functions
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import DensityParams, log_p_n_continuous, p_n_continuous
+from .densities import DensityParams, log_q_n, p_n_continuous
 from .errors import NegativePriceError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import (
@@ -603,52 +604,56 @@ def series_terms(
     y: np.ndarray,
     t: float,
     sigma: Regime,
-    lam_p: float,
-    lam_m: float,
     c_p: float,
     c_m: float,
-    r_p: float,
-    r_m: float,
+    *rates: tuple[float, float, float, float],
 ) -> np.ndarray:
     """Terms u_n(y_n, t) for n = 0..N, one lower limit y_n per n, from the
-    closed-form switch-count densities in one (N x Q) array op.
+    closed-form switch-count densities: one row per rate tuple
+    (lam_+, lam_-, r_+, r_-).
 
     u_n is the discounted density mass e^{-b_r t} int_{y_n}^inf e^{-a_r x}
     p_n(x, t) dx, where a_r x + b_r t is the accumulated rate integral on
     the regime path. The n = 0 atom at c_s t contributes e^{-(lam_s + r_s) t}
     (boundary conventions as in ``u_n``); each n >= 1 takes a Q-node
     Gauss-Legendre rule on [max(y_n, c_- t), c_+ t], zero where y_n >= c_+ t.
+    Every tuple shares one node set, Q from the largest |a_bar| t with
+    a_bar = (lam_+ + r_+) - (lam_- + r_-), and one (N x Q) matrix of
+    log q_n|unit (``densities.log_q_n`` at unit intensities): as
+    nu + a_r = a_bar / dc and b_r = r_s - a_r c_s, a tuple adds
+    log Lambda_n - (a_bar / dc) (x - c_s t) - (lam_s + r_s) t to it to give
+    log p_n - a_r x - b_r t, and costs one add and one exp.
     Requires c_+ > c_-; y_n = +inf gives a zero term.
     """
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
-    dens = DensityParams(
-        c_plus=c_p, c_minus=c_m, lambda_plus=lam_p, lambda_minus=lam_m
-    )
+    unit = DensityParams(c_plus=c_p, c_minus=c_m, lambda_plus=1.0, lambda_minus=1.0)
+    if not all(lam_p > 0 and lam_m > 0 for lam_p, lam_m, _, _ in rates):
+        raise ValueError("intensities must be positive")
+    own = 0 if sigma == +1 else 1  # lam_s and r_s sit at own and own + 2
+    decay = np.array([(r[own] + r[own + 2]) * t for r in rates])
+    a_bar = np.array([(lam_p + r_p) - (lam_m + r_m) for lam_p, lam_m, r_p, r_m in rates])
     y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape)
+    out = np.zeros((len(rates), y.size))
     lo_ray, hi_ray = c_m * t, c_p * t
     atom_in = y[0] <= hi_ray if sigma == +1 else y[0] < lo_ray
     if atom_in:
-        lam_s, r_s = (lam_p, r_p) if sigma == +1 else (lam_m, r_m)
-        out[0] = math.exp(-(lam_s + r_s) * t)
+        out[:, 0] = np.exp(-decay)
     lo = np.maximum(y[1:], lo_ray)
     live = np.flatnonzero(lo < hi_ray)
     if live.size == 0:
         return out
-    a_r, b_r = linear_transform_coeffs(c_p, c_m, r_p, r_m)
-    a_bar = (lam_p + r_p) - (lam_m + r_m)
-    order = _quad_order(int(live[-1]) + 1, abs(a_bar) * t)
+    n = live + 1
+    order = _quad_order(int(n[-1]), float(np.max(np.abs(a_bar))) * t)
     x_ref, w_ref = gauss_legendre_rule(order)
     half = 0.5 * (hi_ray - lo[live])
     nodes = (0.5 * (hi_ray + lo[live]))[:, None] + half[:, None] * x_ref
-    log_f = (
-        log_p_n_continuous(nodes, t, live[:, None] + 1, sigma, dens)
-        - a_r * nodes
-        - b_r * t
-    )
-    out[live + 1] = half * (np.exp(log_f) @ w_ref)
+    log_q = log_q_n(nodes, t, n[:, None], sigma, unit)
+    drift = nodes - (c_p if sigma == +1 else c_m) * t
+    for row, (lam_p, lam_m, _, _), slope, d in zip(out, rates, a_bar / unit.delta_c, decay):
+        log_const = _log_lambda_n(n, sigma, lam_p, lam_m) - d
+        row[n] = half * (np.exp(log_q + (log_const[:, None] - slope * drift)) @ w_ref)
     return out
 
 
@@ -787,11 +792,11 @@ def call_price(
 ) -> PriceBreakdown:
     """European call price S0 * U - K * u with the per-term breakdown.
 
-    The terms integrate the closed-form switch-count densities
-    (``series_terms``), u at the martingale intensities and U at the tilted
-    ones. The c_+ = c_- market has no continuous density: there each term is
-    the full mass rho_n(T) where the shifted log-strike lies on or below the
-    ray y = c T, and 0 above it.
+    The terms integrate the closed-form switch-count densities in one
+    ``series_terms`` call, u at the martingale intensities and U at the
+    tilted ones. The c_+ = c_- market has no continuous density: there each
+    term is the full mass rho_n(T) where the shifted log-strike lies on or
+    below the ray y = c T, and 0 above it.
     """
     intens = martingale_intensities(params)
     y = math.log(spec.strike / params.s0)
@@ -810,10 +815,7 @@ def call_price(
             for r in rates
         )
     else:
-        u_terms, U_terms = (
-            series_terms(shifted, T, sigma, lam_p, lam_m, cp, cm, r_p, r_m)
-            for lam_p, lam_m, r_p, r_m in rates
-        )
+        u_terms, U_terms = series_terms(shifted, T, sigma, cp, cm, *rates)
     u = float(np.sum(u_terms))
     U = float(np.sum(U_terms))
     price = params.s0 * U - spec.strike * u

@@ -269,38 +269,23 @@ def _thresholds_for_gamma(
     return tuple(_as_threshold(first, second) for first, second in zip(y1, y2))
 
 
-def _excluded_value(
+def _excluded_masses(
     thresholds: tuple[Threshold, ...],
     params: ModelParams,
     maturity: float,
-    intens: MartingaleIntensities | None = None,
-    strike: float = 0.0,
-) -> float:
-    """Series over n of the capital (or probability) mass above the thresholds.
+    *rates: tuple[float, float, float, float],
+) -> np.ndarray:
+    """Mass of the excluded set summed over n, one sum per rate tuple.
 
-    With the martingale intensities the terms are S0 U_n - K u_n at the
-    threshold (discounted capital under the martingale measure); without
-    them plain u_n at the physical intensities gives the probability mass.
+    Slice n is excluded above y1_n and, for a double threshold, below y2_n:
+    its mass is the u_n of ``series_terms`` at y1_n minus that at y2_n
+    (thresholds are X-space values, the argument convention of u_n). One
+    ``series_terms`` call per band serves every tuple: at ``series_rates``
+    the sums are the u and U of the capital S0 U - K u that the excluded set
+    loses, at the physical intensities with r = 0 its probability.
     """
-    sig = params.sigma0
-    cp, cm = params.c_plus, params.c_minus
-
-    def tail_value(y_x: np.ndarray) -> float:
-        """Mass of {X(T) > y_x[n], N = n} summed over n (thresholds are
-        X-space values, which is exactly the argument convention of u_n)."""
-        if intens is None:
-            return float(np.sum(series_terms(
-                y_x, maturity, sig, params.lambda_plus, params.lambda_minus,
-                cp, cm, 0.0, 0.0,
-            )))
-        u_val, u_big = (
-            np.sum(series_terms(y_x, maturity, sig, lam_p, lam_m, cp, cm, r_p, r_m))
-            for lam_p, lam_m, r_p, r_m in series_rates(params, intens)
-        )
-        return float(params.s0 * u_big - strike * u_val)
-
-    # slice n loses its mass above y1 minus its mass above y2: y2 = +inf for
-    # a single threshold, and y1 = y2 = +inf for a fully included slice
+    # y2 = +inf for a single threshold, and y1 = y2 = +inf for a fully
+    # included slice
     bands = [
         (np.inf, np.inf) if thr is None
         else thr if isinstance(thr, tuple)
@@ -308,9 +293,10 @@ def _excluded_value(
         for thr in thresholds
     ]
     first, second = np.array(bands, dtype=float).T
-    total = tail_value(first)
+    sig, cp, cm = params.sigma0, params.c_plus, params.c_minus
+    total = series_terms(first, maturity, sig, cp, cm, *rates).sum(axis=1)
     if np.any(np.isfinite(second)):
-        total -= tail_value(second)
+        total -= series_terms(second, maturity, sig, cp, cm, *rates).sum(axis=1)
     return total
 
 
@@ -333,7 +319,8 @@ def success_probability(
     solution: QuantileSolution, params: ModelParams
 ) -> float:
     """Physical probability of the success set: 1 minus the excluded mass."""
-    return 1.0 - _excluded_value(solution.thresholds, params, solution.maturity)
+    physical = (params.lambda_plus, params.lambda_minus, 0.0, 0.0)
+    return 1.0 - _excluded_masses(solution.thresholds, params, solution.maturity, physical)[0]
 
 
 def _case_label(a: float) -> str:
@@ -358,12 +345,14 @@ class _Problem:
         return cls(params, spec, intens, perfect, n_max)
 
     def capital(self, thresholds: tuple[Threshold, ...]) -> float:
-        return self.perfect - _excluded_value(
-            thresholds, self.params, self.spec.maturity, self.intens, self.spec.strike
+        u, U = _excluded_masses(
+            thresholds, self.params, self.spec.maturity, *series_rates(self.params, self.intens)
         )
+        return self.perfect - (self.params.s0 * U - self.spec.strike * u)
 
     def success_probability(self, thresholds: tuple[Threshold, ...]) -> float:
-        return 1.0 - _excluded_value(thresholds, self.params, self.spec.maturity)
+        physical = (self.params.lambda_plus, self.params.lambda_minus, 0.0, 0.0)
+        return 1.0 - _excluded_masses(thresholds, self.params, self.spec.maturity, physical)[0]
 
     def solve(
         self,

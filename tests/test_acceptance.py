@@ -118,15 +118,16 @@ def test_criterion_02_series_terms_vs_quadrature():
         assert lam_p > 0 and lam_m > 0
         base = dict(lam_p=lam_p, lam_m=lam_m, c_p=s["c_p"], c_m=s["c_m"],
                     r_p=s["r_p"], r_m=s["r_m"])
-        tilted = dict(lam_p=lam_p * (1.0 + s["h_p"]), lam_m=lam_m * (1.0 + s["h_m"]),
-                      c_p=s["c_p"], c_m=s["c_m"], r_p=0.0, r_m=0.0)
+        rates = ((lam_p, lam_m, s["r_p"], s["r_m"]),
+                 (lam_p * (1.0 + s["h_p"]), lam_m * (1.0 + s["h_m"]), 0.0, 0.0))
         ys = (s["c_m"] * t - 0.3,                 # below the slow ray
               0.5 * (s["c_m"] + s["c_p"]) * t,    # inside the wedge
               s["c_p"] * t + 0.2)                 # above the fast ray
         for sigma in (+1, -1):
             for y in ys:
-                batched_u = series_terms(np.full(11, y), t, sigma, **base)
-                batched_U = series_terms(np.full(11, y), t, sigma, **tilted)
+                batched_u, batched_U = series_terms(
+                    np.full(11, y), t, sigma, s["c_p"], s["c_m"], *rates
+                )
                 for n in range(11):
                     a = u_n(y, t, n, sigma, **base)
                     b = u_n_quadrature(y, t, n, sigma, **base)

@@ -267,9 +267,11 @@ def test_price_negative_price_exit_code(cfg, capsys, monkeypatch):
     # S0 U - K u < 0): a typed error, exit 3 with the message, no traceback
     real = pricing.series_terms
 
-    def no_stock_terms(y, t, sigma, lam_p, lam_m, c_p, c_m, r_p, r_m):
-        terms = real(y, t, sigma, lam_p, lam_m, c_p, c_m, r_p, r_m)
-        return terms if (r_p, r_m) != (0.0, 0.0) else 0.0 * terms
+    def no_stock_terms(y, t, sigma, c_p, c_m, *rates):
+        terms = real(y, t, sigma, c_p, c_m, *rates)
+        undiscounted = [r[2:] == (0.0, 0.0) for r in rates]
+        terms[undiscounted] = 0.0
+        return terms
 
     monkeypatch.setattr(pricing, "series_terms", no_stock_terms)
     code = main(["price", "--config", cfg, "--strike", "100", "--maturity", "1"])
@@ -324,6 +326,25 @@ def test_simulate_csv_contract(cfg, tmp_path, capsys):
         assert float(row.split(",")[5]) > 0.0  # S positive throughout
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_non_finite_horizon_exit_code(cfg, horizon):
+    # a horizon that is not finite is refused by name before any output;
+    # switch times drawn up to an infinite horizon never end, so the command
+    # runs in a separate process with a timeout, which fails instead of
+    # stalling the suite
+    src = str(Path(telegraph_market.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "telegraph_market.cli", "simulate", "--config", cfg,
+         "--horizon", horizon, "--paths", "1", "--seed", "0", "--grid", "2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "horizon" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # --- density ---------------------------------------------------------------------
 
 def test_density_normalizes(cfg, capsys):
@@ -341,6 +362,17 @@ def test_density_normalizes(cfg, capsys):
     assert integral + float(atom_w) == pytest.approx(1.0, abs=1e-4)
     assert float(atom_x) == pytest.approx(0.5)
     assert data[0, 0] == pytest.approx(-0.3) and data[-1, 0] == pytest.approx(0.5)
+
+
+def test_density_non_finite_t_exit_code(cfg, capsys):
+    # an infinite t is refused by name before any output or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["density", "--config", cfg, "--t", "inf", "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: t must be positive and finite, got inf\n"
 
 
 # --- hedge -----------------------------------------------------------------------
@@ -520,6 +552,23 @@ def test_limit_check_beyond_level_64(capsys):
     assert code == 0
     maxes = [lvl["max_error"] for lvl in json.loads(out)["levels"]]
     assert maxes[1] < maxes[0] < 0.02
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--t", "inf", "t_horizon"),
+    ("--vc", "inf", "v_c"),
+    ("--z", "nan", "z"),
+    ("--levels", "0", "levels"),
+])
+def test_limit_check_input_error_exit_code(capsys, flag, value, name):
+    # non-finite inputs and levels below 1 are input errors (exit 1, the
+    # name in the message), not numerical failures of the mgf
+    options = {"--vc": "0.3", "--va": "0.2", "--mu": "0.05", flag: value}
+    code = main(["limit-check", *(arg for pair in options.items() for arg in pair)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be")
 
 
 def test_density_bad_config_exit_code(tmp_path, capsys):

@@ -12,7 +12,7 @@ from telegraph_market.densities import (
     bessel_i1_over_half_z,
     density_total,
     kolmogorov_residual,
-    log_p_n_continuous,
+    log_q_n,
     mgf,
     p_n,
     p_n_continuous,
@@ -98,18 +98,18 @@ def test_q_n_odd_intensity_assignment():
 
 def test_log_density_vectorized_over_n():
     # one (N x Q) call with a column of switch counts equals the per-n
-    # densities row by row
+    # kernels row by row
     t = 1.3
     x = np.linspace(DENS.c_minus * t, DENS.c_plus * t, 41)[1:-1]
     n = np.arange(1, 16)[:, None]
     for sigma in (+1, -1):
-        rows = np.exp(log_p_n_continuous(x, t, n, sigma, DENS))
+        rows = np.exp(log_q_n(x, t, n, sigma, DENS))
         assert rows.shape == (15, x.size)
         for k in range(15):
-            ref = p_n_continuous(x, t, k + 1, sigma, DENS)
+            ref = q_n(x, t, k + 1, sigma, DENS)
             assert np.allclose(rows[k], ref, rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError):
-        log_p_n_continuous(x, t, np.array([[0], [1]]), +1, DENS)
+        log_q_n(x, t, np.array([[0], [1]]), +1, DENS)
 
 
 def test_bessel_series_vs_scipy():

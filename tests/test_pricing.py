@@ -24,6 +24,7 @@ from telegraph_market.pricing import (
     phi_kn,
     pochhammer,
     rho_n,
+    series_rates,
     series_terms,
     symmetric_price_check,
     u_n,
@@ -302,12 +303,19 @@ def test_u_0_jumps_by_the_atom():
     assert below == pytest.approx(atom, rel=1e-9)
 
 
-def test_series_terms_mixed_lower_limits():
+def test_series_terms_mixed_lower_limits(asym_params):
     # one call whose per-n lower limits fall above the fast ray, in the wedge
     # and below the slow ray (and at +inf) matches the transport route n by n
-    ps = PARAM_SETS[0]
+    # for each of its rate tuples (martingale u, tilted U, physical), all
+    # integrated on the nodes of the largest tilt
+    params = asym_params
+    rates = (
+        *series_rates(params, martingale_intensities(params)),
+        (params.lambda_plus, params.lambda_minus, 0.0, 0.0),
+    )
+    c_p, c_m = params.c_plus, params.c_minus
     t = 1.3
-    lo, hi = ps["c_m"] * t, ps["c_p"] * t
+    lo, hi = c_m * t, c_p * t
     y = np.array([
         lo - 0.1,                 # n = 0 below the slow ray: the atom
         hi + 0.05,                # above the fast ray: zero
@@ -320,26 +328,28 @@ def test_series_terms_mixed_lower_limits():
         0.9 * lo + 0.1 * hi,      # wedge
     ])
     for sigma in (+1, -1):
-        got = series_terms(y, t, sigma, **ps)
-        assert got.shape == y.shape
-        for n, y_n in enumerate(y):
-            ref = 0.0 if np.isinf(y_n) else u_n(y_n, t, n, sigma, **ps)
-            assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
-        assert got[1] == 0.0 and got[4] == 0.0 and got[6] == 0.0
-        assert got[3] == pytest.approx(
-            rho_n(t, 3, sigma, ps["lam_p"], ps["lam_m"], ps["r_p"], ps["r_m"]),
-            rel=1e-12,
-        )
+        got = series_terms(y, t, sigma, c_p, c_m, *rates)
+        assert got.shape == (len(rates), y.size)
+        for row, rate in zip(got, rates):
+            lam_p, lam_m, r_p, r_m = rate
+            for n, y_n in enumerate(y):
+                ref = 0.0 if np.isinf(y_n) else u_n(
+                    y_n, t, n, sigma, lam_p, lam_m, c_p, c_m, r_p, r_m
+                )
+                assert row[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert row[1] == 0.0 and row[4] == 0.0 and row[6] == 0.0
+            assert row[3] == pytest.approx(rho_n(t, 3, sigma, *rate), rel=1e-12)
 
 
 def test_series_terms_atom_boundaries():
     # the n = 0 atom follows u_n's region dispatch at both rays
     ps = PARAM_SETS[0]
+    rate = (ps["lam_p"], ps["lam_m"], ps["r_p"], ps["r_m"])
     t = 1.0
     lo, hi = ps["c_m"] * t, ps["c_p"] * t
     for sigma in (+1, -1):
         for y0 in (lo - 1e-12, lo, 0.5 * (lo + hi), hi, hi + 1e-12):
-            got = series_terms(np.array([y0]), t, sigma, **ps)[0]
+            got = series_terms(np.array([y0]), t, sigma, ps["c_p"], ps["c_m"], rate)[0, 0]
             assert got == pytest.approx(u_n(y0, t, 0, sigma, **ps), rel=1e-13)
 
 

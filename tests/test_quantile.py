@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telegraph_market.pricing as pricing
+import telegraph_market.quantile as quantile
 from oracles import threshold_bisection
 from telegraph_market.errors import BudgetError
 from telegraph_market.measure import martingale_intensities
@@ -138,6 +140,32 @@ def test_double_threshold_structure(double_params):
                 g_prime = alpha * z ** (alpha - 1.0) - c_n * s0
                 assert abs(g) <= 1e-12 * abs(g_prime) * z
     assert windows >= 30
+
+
+def test_one_series_terms_call_per_sum(asym_params, params, double_params, monkeypatch):
+    # every rate tuple of a sum shares one density evaluation: a call price
+    # takes u and U from one series_terms call, and the capital of a success
+    # set takes u and U from one call per band of thresholds
+    calls = []
+    real = pricing.series_terms
+
+    def spy(y, t, sigma, c_p, c_m, *rates):
+        calls.append(len(rates))
+        return real(y, t, sigma, c_p, c_m, *rates)
+
+    monkeypatch.setattr(pricing, "series_terms", spy)
+    monkeypatch.setattr(quantile, "series_terms", spy)
+    call_price(asym_params, SPEC, CTRL)
+    assert calls == [2]
+    # single thresholds exclude one band, double thresholds two
+    for market, bands in ((params, 1), (double_params, 2)):
+        problem = quantile._Problem.of(market, SPEC, CTRL)
+        thresholds = quantile._thresholds_for_gamma(
+            1.0, market, SPEC, problem.intens, problem.n_max
+        )
+        calls.clear()
+        problem.capital(thresholds)
+        assert calls == [2] * bands
 
 
 def test_budget_solution_residual_and_monotonicity(params):
