@@ -181,18 +181,26 @@ def cmd_price(args: argparse.Namespace, out: io.TextIOBase) -> int:
 def cmd_simulate(args: argparse.Namespace, out: io.TextIOBase) -> int:
     params, _ = parse_config(_read(args.config))
     check_time("horizon", args.horizon)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["path_id", "t", "regime", "X", "J", "S", "B"])
     t_grid = np.linspace(0.0, args.horizon, args.grid + 1)
+    names = ("X", "J", "S", "B")
+    rows = []  # every path's columns, checked before the header is written
     for pid in range(args.paths):
         st = path_state(sample_path(params, args.horizon, args.seed, pid), t_grid)
-        columns = (
-            st.telegraph(params.c_plus, params.c_minus),
-            st.jump_sum(params.h_plus, params.h_minus),
-            st.stock(params),
-            np.exp(st.telegraph(params.r_plus, params.r_minus)),
-        )
-        for t, regime, *vals in zip(t_grid, st.regime().tolist(), *columns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = (
+                st.telegraph(params.c_plus, params.c_minus),
+                st.jump_sum(params.h_plus, params.h_minus),
+                st.stock(params),
+                np.exp(st.telegraph(params.r_plus, params.r_minus)),
+            )
+        for name, col in zip(names, columns):
+            if not np.isfinite(col).all():
+                raise TruncationError(f"column {name} of path {pid} is not finite")
+        rows.append((st.regime().tolist(), columns))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["path_id", "t", "regime", *names])
+    for pid, (regimes, columns) in enumerate(rows):
+        for t, regime, *vals in zip(t_grid, regimes, *columns):
             writer.writerow([pid, _g17(t), regime, *map(_g17, vals)])
     return 0
 

@@ -156,9 +156,10 @@ def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
 
     Philox streams for distinct keys are independent, so concurrent sampling
     with distinct path indices never shares state and results do not depend
-    on worker count.
+    on worker count. Seed and index enter the key modulo 2^64, so seed -1
+    names the stream of seed 2^64 - 1.
     """
-    key = [int(seed) & _UINT64_MASK, int(path_index) & _UINT64_MASK]
+    key = np.array([int(seed) & _UINT64_MASK, int(path_index) & _UINT64_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

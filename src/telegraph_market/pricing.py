@@ -7,7 +7,8 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
 
 - ``call_price`` integrates the densities for every switch count in one
   array op (``series_terms``), which takes u, U and the quantile hedge's
-  sums from one matrix of the intensity-free density part (``log_q_n``);
+  sums from one matrix of the intensity-free density part, built from the
+  nodes' distances to the two rays (c_+ = c_- markets: velocities (1, 0));
 - ``call_value_surface`` and the hedge path use the transport route: each
   term solves a pair of coupled first-order transport equations with a
   combinatorial solution built from confluent hypergeometric functions
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import DensityParams, log_q_n, p_n_continuous
+from .densities import DensityParams, p_n_continuous
 from .errors import NegativePriceError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
 from .model import (
@@ -616,19 +617,24 @@ def series_terms(
     p_n(x, t) dx, where a_r x + b_r t is the accumulated rate integral on
     the regime path. The n = 0 atom at c_s t contributes e^{-(lam_s + r_s) t}
     (boundary conventions as in ``u_n``); each n >= 1 takes a Q-node
-    Gauss-Legendre rule on [max(y_n, c_- t), c_+ t], zero where y_n >= c_+ t.
-    Every tuple shares one node set, Q from the largest |a_bar| t with
-    a_bar = (lam_+ + r_+) - (lam_- + r_-), and one (N x Q) matrix of
-    log q_n|unit (``densities.log_q_n`` at unit intensities): as
-    nu + a_r = a_bar / dc and b_r = r_s - a_r c_s, a tuple adds
-    log Lambda_n - (a_bar / dc) (x - c_s t) - (lam_s + r_s) t to it to give
-    log p_n - a_r x - b_r t, and costs one add and one exp.
+    Gauss-Legendre rule on [lo_n, c_+ t], lo_n = max(y_n, c_- t), zero where
+    y_n >= c_+ t. Every tuple shares one node set, Q from the largest
+    |a_bar| t with a_bar = (lam_+ + r_+) - (lam_- + r_-). The nodes
+    x = lo_n + half_n (1 + xi) enter by their distances to the rays,
+    c_+ t - x = half_n (1 - xi) and x - c_- t = lo_n - c_- t + half_n (1 + xi),
+    both positive: one (N x Q) matrix e_a log(c_+ t - x) + e_b log(x - c_- t)
+    plus log half_n - n log dc - log(e_a! e_b!) is log(half_n q_n) at unit
+    intensities. As nu + a_r = a_bar / dc and b_r = r_s - a_r c_s, a tuple
+    adds -(a_bar / dc) (x - c_s t), with the drift x - c_s t one of the two
+    distances, and log Lambda_n - (lam_s + r_s) t: one product, two adds and
+    one exp.
     Requires c_+ > c_-; y_n = +inf gives a zero term.
     """
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
-    unit = DensityParams(c_plus=c_p, c_minus=c_m, lambda_plus=1.0, lambda_minus=1.0)
+    if not c_p > c_m:
+        raise ValueError("density formulas require c_plus > c_minus")
     if not all(lam_p > 0 and lam_m > 0 for lam_p, lam_m, _, _ in rates):
         raise ValueError("intensities must be positive")
     own = 0 if sigma == +1 else 1  # lam_s and r_s sit at own and own + 2
@@ -648,12 +654,22 @@ def series_terms(
     order = _quad_order(int(n[-1]), float(np.max(np.abs(a_bar))) * t)
     x_ref, w_ref = gauss_legendre_rule(order)
     half = 0.5 * (hi_ray - lo[live])
-    nodes = (0.5 * (hi_ray + lo[live]))[:, None] + half[:, None] * x_ref
-    log_q = log_q_n(nodes, t, n[:, None], sigma, unit)
-    drift = nodes - (c_p if sigma == +1 else c_m) * t
-    for row, (lam_p, lam_m, _, _), slope, d in zip(out, rates, a_bar / unit.delta_c, decay):
-        log_const = _log_lambda_n(n, sigma, lam_p, lam_m) - d
-        row[n] = half * (np.exp(log_q + (log_const[:, None] - slope * drift)) @ w_ref)
+    to_fast = np.multiply.outer(half, 1.0 - x_ref)  # c_+ t - x
+    to_slow = np.multiply.outer(half, 1.0 + x_ref)
+    to_slow += (lo[live] - lo_ray)[:, None]  # x - c_- t
+    lo_half, hi_half = (n - 1) // 2, n // 2
+    e_a, e_b = (lo_half, hi_half) if sigma == +1 else (hi_half, lo_half)
+    log_q = e_a[:, None] * np.log(to_fast)
+    log_q += e_b[:, None] * np.log(to_slow)
+    scale = np.log(half) - n * math.log(c_p - c_m) - log_factorial(e_a) - log_factorial(e_b)
+    log_q += scale[:, None]
+    # x - c_s t is -(c_+ t - x) for sigma = +1 and x - c_- t for sigma = -1
+    drift, slope = (to_fast, a_bar) if sigma == +1 else (to_slow, -a_bar)
+    for row, (lam_p, lam_m, _, _), s, d in zip(out, rates, slope / (c_p - c_m), decay):
+        expo = drift * s
+        expo += log_q
+        expo += (_log_lambda_n(n, sigma, lam_p, lam_m) - d)[:, None]
+        row[n] = np.exp(expo, out=expo) @ w_ref
     return out
 
 
@@ -796,7 +812,9 @@ def call_price(
     ``series_terms`` call, u at the martingale intensities and U at the
     tilted ones. The c_+ = c_- market has no continuous density: there each
     term is the full mass rho_n(T) where the shifted log-strike lies on or
-    below the ray y = c T, and 0 above it.
+    below the ray y = c T, and 0 above it. As neither the switch-count law
+    nor the discount depends on the velocities, ``series_terms`` gives them
+    at velocities (1, 0), where x is the time spent in the + regime.
     """
     intens = martingale_intensities(params)
     y = math.log(spec.strike / params.s0)
@@ -809,11 +827,8 @@ def call_price(
     shifted = y - log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
     rates = series_rates(params, intens)
     if cp == cm:
-        live = shifted <= cp * T
-        u_terms, U_terms = (
-            np.where(live, _rho_rows(np.array([T]), n_used, sigma, *r)[:, 0], 0.0)
-            for r in rates
-        )
+        full = series_terms(np.full(n_used + 1, -np.inf), T, sigma, 1.0, 0.0, *rates)
+        u_terms, U_terms = np.where(shifted <= cp * T, full, 0.0)
     else:
         u_terms, U_terms = series_terms(shifted, T, sigma, cp, cm, *rates)
     u = float(np.sum(u_terms))

@@ -345,6 +345,20 @@ def test_simulate_non_finite_horizon_exit_code(cfg, horizon):
     assert "Traceback" not in done.stderr
 
 
+def test_simulate_overflow_exit_code(cfg, capsys):
+    # over a horizon of 1e4 the stock leaves float range (log S/S0 ~ 1466):
+    # the run writes nothing, names the column that is not finite and exits
+    # 3, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", cfg, "--horizon", "1e4",
+                     "--paths", "1", "--seed", "0", "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "numerical failure: column S of path 0 is not finite\n"
+
+
 # --- density ---------------------------------------------------------------------
 
 def test_density_normalizes(cfg, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,20 @@ def test_path_rng_deterministic():
     c = path_rng(11, 4).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_path_rng_keys_past_int64():
+    # seeds enter the Philox key modulo 2^64 as exact integers: no two of
+    # these seeds share a stream, seed -1 names the stream of 2^64 - 1, and
+    # no RuntimeWarning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = [
+            path_rng(seed, 3).standard_exponential()
+            for seed in (2**63, 2**63 + 5, -1, -2, 2**64 - 1)
+        ]
+    assert len(set(first[:4])) == 4
+    assert first[2] == first[4]
 
 
 def test_sample_path_reproducible(asym_params):

@@ -326,6 +326,7 @@ def test_series_terms_mixed_lower_limits(asym_params):
         hi,                       # on the fast ray: zero
         lo,                       # on the slow ray: the full mass
         0.9 * lo + 0.1 * hi,      # wedge
+        hi - 1e-9,                # a sliver just below the fast ray
     ])
     for sigma in (+1, -1):
         got = series_terms(y, t, sigma, c_p, c_m, *rates)
@@ -452,6 +453,43 @@ def test_call_price_truncation_budget(asym_params):
             asym_params, CallSpec(strike=100.0, maturity=1.0),
             SeriesControls(tail_epsilon=1e-12, max_terms=3),
         )
+
+
+# c_+ = c_- with lambda* = (7, 1) and r = (0.09, 0.05): a_bar is nonzero for
+# u and U, and a one-year price takes 40 terms
+EQUAL_C_TILTED = ModelParams(
+    c_plus=0.02, c_minus=0.02, lambda_plus=2.0, lambda_minus=1.5,
+    h_plus=0.01, h_minus=0.03, r_plus=0.09, r_minus=0.05, s0=100.0, sigma0=+1,
+)
+
+
+@pytest.mark.parametrize("sigma0", [+1, -1])
+def test_equal_velocity_terms_are_full_masses(monkeypatch, sigma0):
+    # with c_+ = c_- a term is the full mass rho_n(T) where the shifted
+    # log-strike lies on or below the ray y = c T, and 0 above it; u and U
+    # come from one series_terms call, not from the kernel tables
+    params = replace(EQUAL_C_TILTED, sigma0=sigma0)
+    spec = CallSpec(strike=110.0, maturity=1.0)
+    calls = []
+    for name in ("series_terms", "_rho_rows"):
+        real = getattr(pricing, name)
+        monkeypatch.setattr(
+            pricing, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    bk = call_price(params, spec, CTRL)
+    monkeypatch.undo()
+    assert calls == ["series_terms"]
+    assert bk.n_used == 39
+    shifted = bk.y - log_kappa_sequence(bk.n_used, sigma0, params.h_plus, params.h_minus)
+    live = shifted <= params.c_plus * spec.maturity
+    assert live.any() and not live.all()
+    rates = series_rates(params, martingale_intensities(params))
+    for terms, rate in zip((bk.u_terms, bk.U_terms), rates):
+        assert rate[0] + rate[2] != rate[1] + rate[3]  # a_bar != 0
+        assert np.all(terms[~live] == 0.0)
+        for n in np.flatnonzero(live):
+            ref = rho_n(spec.maturity, int(n), sigma0, *rate)
+            assert terms[n] == pytest.approx(ref, rel=1e-12)
 
 
 def _random_market(rng):
