@@ -382,10 +382,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out:
+        if not args.out:
+            return args.func(args, sys.stdout)
+        # the path must be writable before the run starts (a missing file is
+        # created), but only a successful run replaces what the file holds
+        open(args.out, "a", encoding="utf-8").close()
+        buf = io.StringIO()
+        code = args.func(args, buf)
+        if code == 0:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+                fh.write(buf.getvalue())
+        return code
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -127,6 +127,11 @@ def replication_backtest(
     times of each path; between rebalances the position is held fixed and
     capital accrues via the stock drift/jumps and the bond. Reports terminal
     |capital - payoff| statistics and admissibility (capital >= 0).
+
+    Before its first switch every path with the same starting regime sits on
+    the same uniform-grid states (n = 0, occupation t), bit for bit. That
+    shared prefix is priced once, on the path of each starting regime with
+    the longest prefix, and the other paths read their positions there.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -142,8 +147,8 @@ def replication_backtest(
     uniform = np.linspace(0.0, maturity, n_steps + 1)
 
     # assemble per-path grids and states, then batch the hedge-ratio calls
-    grids, states = [], []
-    for path in paths:
+    grids, states, prefix, lead = [], [], [], {}
+    for i, path in enumerate(paths):
         if path.horizon < maturity:
             raise ValueError("path horizon shorter than the claim maturity")
         times = np.unique(np.concatenate((uniform, np.asarray(path.switch_times))))
@@ -153,11 +158,17 @@ def replication_backtest(
         r_t = np.where(sig == 1, params.r_plus, params.r_minus)
         grids.append(times)
         states.append((sig, st.stock(params), r_t))
+        first = path.switch_times[0] if path.switch_times else maturity
+        prefix.append(min(int(np.searchsorted(times, first)), times.size - 1))
+        if prefix[lead.setdefault(path.sigma0, i)] < prefix[i]:
+            lead[path.sigma0] = i
+    # every path but its regime's lead drops its prefix from the priced points
+    skip = [0 if lead[p.sigma0] == i else prefix[i] for i, p in enumerate(paths)]
 
-    offsets = np.cumsum([0] + [g.size - 1 for g in grids])
-    t_all = np.concatenate([g[:-1] for g in grids])
-    sig_all = np.concatenate([st[0][:-1] for st in states])
-    s_all = np.concatenate([st[1][:-1] for st in states])
+    offsets = np.cumsum([0] + [g.size - 1 - k for g, k in zip(grids, skip)])
+    t_all = np.concatenate([g[k:-1] for g, k in zip(grids, skip)])
+    sig_all = np.concatenate([st[0][k:-1] for st, k in zip(states, skip)])
+    s_all = np.concatenate([st[1][k:-1] for st, k in zip(states, skip)])
     phi_all = np.empty_like(s_all)
     for sg in (+1, -1):
         mask = sig_all == sg
@@ -169,7 +180,10 @@ def replication_backtest(
     errors = np.empty(len(paths))
     min_capital = np.inf
     for i, (times, (sig, s_t, r_t)) in enumerate(zip(grids, states)):
-        phi = phi_all[offsets[i] : offsets[i + 1]]
+        start = offsets[lead[paths[i].sigma0]]
+        phi = np.concatenate(
+            (phi_all[start : start + skip[i]], phi_all[offsets[i] : offsets[i + 1]])
+        )
         dt_seg = np.diff(times)
         growth = np.exp(r_t[:-1] * dt_seg)
         gain = phi * (s_t[1:] - s_t[:-1] * growth)

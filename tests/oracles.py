@@ -9,23 +9,37 @@ demo's strategy is walked segment by segment on one path at a time, the
 MGF is summed over switch counts with one Gauss-Legendre integral per n,
 the series stops are found by a per-n loop over a scalar tail bound, and the
 starting-regime occupation is summed from the differences of the full
-boundary array.
+boundary array, and the replication backtest prices every grid point of
+every path, the no-switch prefix each path shares included.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from telegraph_market.densities import DensityParams, p_n, p_n_continuous
 from telegraph_market.errors import DivergenceError, TruncationError
+from telegraph_market.hedging import (
+    PricerF,
+    ReplicationStats,
+    hedge_ratio,
+    make_call_pricer,
+)
 from telegraph_market.measure import MartingaleIntensities
-from telegraph_market.model import ModelParams, kappa, log_kappa_sequence
+from telegraph_market.model import (
+    ModelParams,
+    RegimePath,
+    kappa,
+    log_kappa_sequence,
+    path_state,
+)
 from telegraph_market.numerics import gauss_legendre_nodes
-from telegraph_market.pricing import SeriesControls
+from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
 _MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf_series``
 _MGF_TAIL_EPS = 1e-10  # ``mgf_series`` stops once its tail bound is below this share of the sum
@@ -383,3 +397,85 @@ def switch_state_concat_diff(
     )
     occ = np.sum(np.diff(bounds, axis=0)[0::2], axis=0)
     return n, occ
+
+
+def replication_backtest_every_point(
+    paths: Sequence[RegimePath],
+    spec: CallSpec,
+    params: ModelParams,
+    n_steps: int,
+    pricer_f: PricerF | None = None,
+    payoff: Callable[[np.ndarray], np.ndarray] | None = None,
+    initial_capital: float | None = None,
+    controls: SeriesControls = SeriesControls(),
+) -> ReplicationStats:
+    """Self-financing replication of a European claim along simulated paths,
+    pricing every grid point of every path (reference for
+    ``hedging.replication_backtest``).
+
+    Rebalances on a uniform n_steps grid augmented with the exact switch
+    times of each path; between rebalances the position is held fixed and
+    capital accrues via the stock drift/jumps and the bond. Reports terminal
+    |capital - payoff| statistics and admissibility (capital >= 0).
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    if not paths:
+        raise ValueError("replication needs at least one path")
+    if pricer_f is None:
+        pricer_f = make_call_pricer(params, spec, controls)
+    if payoff is None:
+        payoff = lambda s: np.maximum(s - spec.strike, 0.0)  # noqa: E731
+    if initial_capital is None:
+        initial_capital = call_price(params, spec, controls).price
+    maturity = spec.maturity
+    uniform = np.linspace(0.0, maturity, n_steps + 1)
+
+    # assemble per-path grids and states, then batch the hedge-ratio calls
+    grids, states = [], []
+    for path in paths:
+        if path.horizon < maturity:
+            raise ValueError("path horizon shorter than the claim maturity")
+        times = np.unique(np.concatenate((uniform, np.asarray(path.switch_times))))
+        times = times[times <= maturity]
+        st = path_state(path, times)
+        sig = st.regime()
+        r_t = np.where(sig == 1, params.r_plus, params.r_minus)
+        grids.append(times)
+        states.append((sig, st.stock(params), r_t))
+
+    offsets = np.cumsum([0] + [g.size - 1 for g in grids])
+    t_all = np.concatenate([g[:-1] for g in grids])
+    sig_all = np.concatenate([st[0][:-1] for st in states])
+    s_all = np.concatenate([st[1][:-1] for st in states])
+    phi_all = np.empty_like(s_all)
+    for sg in (+1, -1):
+        mask = sig_all == sg
+        if np.any(mask):
+            phi_all[mask] = hedge_ratio(
+                t_all[mask], s_all[mask], sg, pricer_f, params
+            )
+
+    errors = np.empty(len(paths))
+    min_capital = np.inf
+    for i, (times, (sig, s_t, r_t)) in enumerate(zip(grids, states)):
+        phi = phi_all[offsets[i] : offsets[i + 1]]
+        dt_seg = np.diff(times)
+        growth = np.exp(r_t[:-1] * dt_seg)
+        gain = phi * (s_t[1:] - s_t[:-1] * growth)
+        # capital follows F_{j+1} = g_j F_j + gain_j; solve by cumulative products
+        cum_g = np.concatenate(([1.0], np.cumprod(growth)))
+        capital = cum_g * (initial_capital + np.cumsum(
+            np.concatenate(([0.0], gain / cum_g[1:]))
+        ))
+        errors[i] = capital[-1] - float(payoff(np.asarray(s_t[-1])))
+        min_capital = min(min_capital, float(np.min(capital)))
+    abs_err = np.abs(errors)
+    return ReplicationStats(
+        initial_capital=initial_capital,
+        errors=errors,
+        mean_abs_error=float(abs_err.mean()),
+        max_abs_error=float(abs_err.max()),
+        min_capital=min_capital,
+        admissible=min_capital >= -1e-9 * params.s0,
+    )

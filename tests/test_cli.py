@@ -359,6 +359,20 @@ def test_simulate_overflow_exit_code(cfg, capsys):
     assert captured.err == "numerical failure: column S of path 0 is not finite\n"
 
 
+def test_failed_run_keeps_out_file(cfg, tmp_path, capsys):
+    # --out is written only when the run succeeds: a successful run writes
+    # the bytes it prints to standard output, and a run that exits 3 leaves
+    # the file as the earlier run wrote it
+    out = tmp_path / "prev.csv"
+    args = ["simulate", "--config", cfg, "--paths", "1", "--seed", "0", "--grid", "2"]
+    assert main([*args, "--horizon", "1.0"]) == 0
+    printed = capsys.readouterr().out
+    assert main([*args, "--horizon", "1.0", "--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode("utf-8")
+    assert main([*args, "--horizon", "1e4", "--out", str(out)]) == 3
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 # --- density ---------------------------------------------------------------------
 
 def test_density_normalizes(cfg, capsys):

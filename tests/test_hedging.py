@@ -10,9 +10,10 @@ from telegraph_market.hedging import (
     pde_residual,
     replication_backtest,
 )
-from telegraph_market.model import RegimePath, sample_path
+from telegraph_market.model import RegimePath, path_state, sample_path
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
+from oracles import replication_backtest_every_point
 from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
 
 CTRL = SeriesControls()
@@ -158,3 +159,71 @@ def test_replication_refuses_no_paths(pricer_and_params):
     pricer, params, spec = pricer_and_params
     with pytest.raises(ValueError, match="replication needs at least one path"):
         replication_backtest([], spec, params, 10, pricer_f=pricer, controls=CTRL)
+
+
+def _asym_round(params, maturity, n_paths, seed=3):
+    return [sample_path(params, maturity, seed=seed, path_index=i)
+            for i in range(n_paths)]
+
+
+def _backtest_cases(params, spec):
+    """(name, paths, n_steps, extra keywords) inputs on which the backtest
+    must match the every-point reference."""
+    minus = replace(params, sigma0=-1)
+    mixed = _asym_round(params, spec.maturity, 15, 7) + _asym_round(
+        minus, spec.maturity, 15, 8
+    )
+    on_grid = float(np.linspace(0.0, spec.maturity, 301)[90])
+    custom = dict(pricer_f=lambda t, x, sigma: np.where(sigma == 1, 1.1, 0.9)
+                 * np.maximum(np.asarray(x) - 90.0 * np.exp(t - 1.0), 0.0),
+                 payoff=lambda s: np.maximum(s - 90.0, 0.0))
+    return [
+        ("asym round", _asym_round(params, spec.maturity, 40), 300, {}),
+        ("both starting regimes", mixed, 300, {}),
+        ("no switch before maturity", _asym_round(params, spec.maturity, 10, 9) + [
+            RegimePath(+1, (), 2.0), RegimePath(+1, (1.5,), 2.0)], 300, {}),
+        ("first switch on a grid time", _asym_round(params, spec.maturity, 10) + [
+            RegimePath(+1, (on_grid, 0.6), spec.maturity)], 300, {}),
+        ("single path", _asym_round(params, spec.maturity, 1), 300, {}),
+        ("one step", _asym_round(params, spec.maturity, 20), 1, {}),
+        ("custom pricer", mixed, 300, custom),
+    ]
+
+
+def test_replication_matches_every_point_reference(pricer_and_params):
+    # pricing the shared no-switch prefix once changes no number: every case
+    # agrees with the reference bit for bit
+    pricer, params, spec = pricer_and_params
+    for name, paths, n_steps, kw in _backtest_cases(params, spec):
+        kw = {"pricer_f": pricer, **kw}
+        got = replication_backtest(paths, spec, params, n_steps, **kw)
+        ref = replication_backtest_every_point(paths, spec, params, n_steps, **kw)
+        assert got.initial_capital == ref.initial_capital, name
+        assert np.array_equal(got.errors, ref.errors), name
+        assert got.min_capital == ref.min_capital, name
+        assert got.admissible == ref.admissible, name
+
+
+def test_replication_prices_each_state_once(pricer_and_params):
+    # the paths share their uniform-grid states up to the first switch; the
+    # backtest prices each distinct (t, S, sigma) state once, with the two
+    # pricer points of its hedge ratio
+    pricer, params, spec = pricer_and_params
+    paths = _asym_round(params, spec.maturity, 40)
+    calls = []
+
+    def spy(t, x, sigma):
+        calls.append(np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float)))
+        return pricer(t, x, sigma)
+
+    replication_backtest(paths, spec, params, 300, pricer_f=spy, controls=CTRL)
+    uniform = np.linspace(0.0, spec.maturity, 301)
+    states = []
+    for path in paths:
+        times = np.unique(np.concatenate((uniform, path.switch_times)))[:-1]
+        st = path_state(path, times)
+        states.append(np.column_stack((times, st.stock(params), st.regime())))
+    n_states = np.unique(np.concatenate(states), axis=0).shape[0]
+    for t, x in calls:
+        assert np.unique(np.column_stack((t, x)), axis=0).shape[0] == t.size
+    assert sum(t.size for t, _ in calls) == 2 * n_states
