@@ -12,24 +12,27 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
 - ``call_value_surface`` and the hedge path use the transport route: each
   term solves a pair of coupled first-order transport equations with a
   combinatorial solution built from confluent hypergeometric functions
-  (``v_n``, ``phi_kn``, ``P_n``). Every order of those kernels comes from
-  one table per point set (``_kernel_table``), built by a backward
-  recurrence over the order in O(n) array operations, with large scales
-  folded into its exponent. ``call_u_U`` sums a whole value surface: it
-  fixes one series stop for all its points, and splits the points at the
-  rays y = c_- t and y = c_+ t once for u and U (``_split``). Terms above
-  the fast ray are 0. Below the slow ray a term is the full mass rho_n(t),
-  which depends on t alone, so the below-ray part of a sum is read from a
-  cumulative table over the distinct t of the whole call (the backtest's
-  grid times repeat across paths), one for each of u and U. Only the wedge
-  between the rays evaluates ``v_n``. On the benchmark's hedge inputs (one
-  round, 288 390 points) 86.8% of the (point, n) pairs lie below, 12.3% in
-  the wedge and 0.9% above. The wedge stays on the transport kernels: its
-  0.81M pairs at 48 Gauss-Legendre nodes would be 39M density evaluations
-  for each of u and U, about 2.6 s each at 67 ns per node, while the
-  kernels take 0.12 s for both (2 vCPU).
-- ``u_n`` / ``U_n`` give single terms through the same region split; they
-  are the per-term reference the tests compare the integrated terms with.
+  (``v_n``, ``P_n``): v_n sums kernels phi_{k,n} whose integer coefficients
+  beta_{k,j} come from one recurrence table (``_beta_table``). Every order
+  of those kernels comes from one table per point set (``_kernel_table``),
+  built by a backward recurrence over the order in O(n) array operations,
+  with large scales folded into its exponent. ``call_u_U`` sums a whole
+  value surface: it fixes one series stop for all its points, and splits
+  the points at the rays y = c_- t and y = c_+ t once for u and U
+  (``_split``). Terms above the fast ray are 0. Below the slow ray a term
+  is the full mass rho_n(t), which depends on t alone, so the below-ray
+  part of a sum is read from a cumulative table over the distinct t of the
+  whole call (the backtest's grid times repeat across paths), one for each
+  of u and U. Only the wedge between the rays evaluates ``v_n``. On the
+  benchmark's hedge inputs (one round, 288 390 points) 86.8% of the
+  (point, n) pairs lie below, 12.3% in the wedge and 0.9% above. The
+  wedge stays on the transport kernels: its 0.81M pairs at 48
+  Gauss-Legendre nodes would be 39M density evaluations for each of u and
+  U, about 2.6 s each at 67 ns per node, while the kernels take 0.12 s for
+  both (2 vCPU).
+- ``u_n`` gives single terms through the same region split (U_n is u_n
+  at the tilted intensities, r = 0); it is the per-term reference the
+  tests compare the integrated terms with.
 
 The u and U series take their rates from ``series_rates``. Every
 switch-count series except the general branch of ``european_price_F``
@@ -120,16 +123,6 @@ class PriceBreakdown:
     idx_minus: int | None
     idx_plus: int | None
     n_used: int
-
-
-def pochhammer(m: int, k: int) -> float:
-    """Rising factorial m (m+1) ... (m+k-1); empty product for k = 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1.0
-    for i in range(k):
-        out *= m + i
-    return out
 
 
 def hyp1f1(alpha: float, beta: float, z: np.ndarray | float) -> np.ndarray | float:
@@ -252,47 +245,49 @@ def P_n(
     return row.reshape(t_arr.shape) if np.ndim(t) else float(row[0])
 
 
-def beta_coeff(k: int, j: int) -> float:
-    """Combinatorial coefficient (k-j)_{floor(j/2)} / floor(j/2)! for 0 <= j < k.
-
-    This rising-factorial formula is authoritative: it is the unique choice
-    satisfying the recurrences beta_{k,2m+1} = beta_{k-1,2m} and
-    beta_{k,2m} - beta_{k,2m+1} = beta_{k-1,2m-1} that the derivative
-    identity of the phi functions relies on (so e.g. beta_{4,2} = 2).
-    """
-    if not (k >= 1 and 0 <= j < k):
-        raise ValueError("beta_coeff requires 0 <= j < k")
-    half = j // 2
-    return pochhammer(k - j, half) / math.factorial(half)
+_BETA = np.array([[0.0], [1.0]])  # beta_{k,j} at [k, j], grown by _beta_table
 
 
 def _beta_table(k_max: int) -> np.ndarray:
-    """beta_coeff(k, j) at [k, j] for 0 <= j < k <= k_max, 0 elsewhere.
-    Raises TruncationError when a coefficient overflows."""
-    table = np.zeros((k_max + 1, k_max))
-    try:
-        for k in range(1, k_max + 1):
-            table[k, :k] = [beta_coeff(k, j) for j in range(k)]
-    except OverflowError:
-        raise TruncationError(
-            f"transport kernel coefficient beta_{{{k},j}} overflowed; the term "
-            "budget reaches past the range of the transport route"
-        ) from None
-    return table
+    """Coefficients beta_{k,j} = C(k - j + floor(j/2) - 1, floor(j/2)) at
+    [k, j] for 0 <= j < k <= k_max, 0 elsewhere (row 0 is all 0).
+
+    Rows follow the recurrence beta_{k,0} = 1, beta_{k,2m+1} =
+    beta_{k-1,2m} and beta_{k,2m} = beta_{k-1,2m-1} + beta_{k-1,2m}, which
+    the derivative identity d phi_{k,n} / dp = phi_{k-1,n-1} relies on. Each
+    entry is a sum of exact integers, so it is exact while below 2^53 and
+    within a few ulps beyond; past the float range it is inf. The table
+    doubles in rows whenever a larger k is asked for and only ever appends,
+    so no caller sees a value change.
+    """
+    global _BETA
+    if k_max >= len(_BETA):
+        size = len(_BETA)
+        while size <= k_max:
+            size *= 2
+        table = np.zeros((size, size - 1))
+        table[: len(_BETA), : _BETA.shape[1]] = _BETA
+        with np.errstate(over="ignore"):
+            for k in range(len(_BETA), size):
+                prev, row = table[k - 1], table[k]
+                row[0] = 1.0
+                row[1:k:2] = prev[0 : k - 1 : 2]
+                row[2:k:2] = prev[1 : k - 1 : 2] + prev[2:k:2]
+        table.flags.writeable = False  # shared by every caller
+        _BETA = table
+    return _BETA[: k_max + 1, :k_max]
 
 
-def _fill_phi(
-    out: np.ndarray, ks: np.ndarray, n: int, a_bar: float, beta: np.ndarray
-) -> None:
+def _fill_phi(out: np.ndarray, ks: np.ndarray, n: int, a_bar: float) -> None:
     """Write the coefficients of phi_{k,n} for k in ``ks`` over the kernel
     orders into the rows of ``out`` (columns indexed by order):
     a_bar^{k-j-1} beta_{k,j} at order 2n - j for j < k, and 1 at order 2n + 1
-    for k = 0, which may only come first in the ascending ``ks``. ``beta``
-    is a ``_beta_table`` reaching max(ks). Raises TruncationError when a
-    coefficient overflows."""
+    for k = 0, which may only come first in the ascending ``ks``. Raises
+    TruncationError when a coefficient overflows."""
     j = np.arange(int(ks.max(initial=0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = a_bar ** np.maximum(ks[:, None] - 1 - j, 0) * beta[ks, : j.size]
+        powers = a_bar ** j  # indexed by the exponent k - j - 1
+        coef = powers[np.maximum(ks[:, None] - 1 - j, 0)] * _beta_table(j.size)[ks]
     bad = ~np.isfinite(coef).all(axis=1)
     if bad.any():
         raise TruncationError(
@@ -303,25 +298,6 @@ def _fill_phi(
     if ks.size and ks[0] == 0:
         # odd orders have the same index m in both regimes: P^{(+)} = P^{(-)}
         out[0, 2 * n + 1] = 1.0
-
-
-def phi_kn(k: int, n: int, p: np.ndarray | float, a_bar: float) -> np.ndarray | float:
-    """Auxiliary kernels phi_{k,n}(p); phi_{0,n} = P_{2n+1}.
-
-    phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1,
-    every order read from one ``_kernel_table``. Raises TruncationError when
-    a coefficient overflows.
-    """
-    if k < 0 or k > n:
-        raise ValueError("phi_kn requires 0 <= k <= n")
-    p_arr = np.asarray(p, dtype=float)
-    coef = np.zeros((1, 2 * n + 2))
-    _fill_phi(coef, np.array([k]), n, a_bar, _beta_table(k))
-    orders = [2 * n + 1] if k == 0 else range(2 * n, 2 * n - k, -1)
-    lo = min(orders)
-    table = _kernel_table(p_arr.ravel(), max(orders), a_bar, n_min=lo)
-    acc = sum(coef[0, o] * table[o - lo] for o in orders).reshape(p_arr.shape)
-    return acc if np.ndim(p) else float(acc)
 
 
 def v_n(
@@ -356,10 +332,8 @@ def _scaled_v_n(
     log_lam: float = 0.0,
     rate_q: float = 0.0,
     rate_p: float = 0.0,
-    beta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """e^{log_lam - rate_q q - rate_p p} v_n(p, q) on 1-d arrays p, q >= 0;
-    ``beta`` is a ``_beta_table`` reaching n // 2 (built here when not given).
+    """e^{log_lam - rate_q q - rate_p p} v_n(p, q) on 1-d arrays p, q >= 0.
 
     v_n = P_n^{(sigma)}(p) + sum_k (q^k / k!) phi_k(p), with phi_{k,m} for
     odd n = 2m + 1, phi_{k+1,m} (k < m) for sigma = -1 and phi_{k-1,m-1} for
@@ -384,14 +358,12 @@ def _scaled_v_n(
         ks, m_phi = np.arange(2, m + 1), m
     else:
         ks, m_phi = np.arange(0, m), m - 1
-    if beta is None:
-        beta = _beta_table(n // 2)
     top = n + 1 if n % 2 == 0 and sigma == +1 else n
     coef = np.zeros((ks.size + 1, top + 1))
     coef[0, n] = 1.0
     if top > n:
         coef[0, top] = -a_hat
-    _fill_phi(coef[1:], ks, m_phi, a_hat, beta)
+    _fill_phi(coef[1:], ks, m_phi, a_hat)
     lo = m if n % 2 == 0 and sigma == +1 else m + 1  # lowest order in use
     coef = coef[:, lo : top + 1]
     table = _kernel_table(
@@ -435,30 +407,6 @@ def _rho_rows(
     if sigma == -1:
         return _kernel_table(t, n_max, a_bar, log_lam, -(lam_m + r_m) * t)
     return _kernel_table(t, n_max, -a_bar, log_lam, -(lam_p + r_p) * t)
-
-
-def rho_n(
-    t: np.ndarray | float,
-    n: int,
-    sigma: Regime,
-    lam_p: float,
-    lam_m: float,
-    r_p: float,
-    r_m: float,
-) -> np.ndarray | float:
-    """Full-mass term rho_n = e^{-(lam_- + r_-) t} Lambda_n P_n(t).
-
-    log Lambda_n and the discount enter the kernel's exponent, so large n
-    gives a finite term where Lambda_n alone overflows.
-    """
-    check_regime(sigma)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    row = _rho_rows(t_arr.ravel(), n, sigma, lam_p, lam_m, r_p, r_m)[n]
-    return row.reshape(t_arr.shape) if np.ndim(t) else float(row[0])
 
 
 class _Split(NamedTuple):
@@ -509,15 +457,14 @@ def _wedge_term(
     lam_m: float,
     r_p: float,
     r_m: float,
-    beta: np.ndarray | None = None,
 ) -> np.ndarray:
     """u_n at wedge points (p, q): Lambda_n e^{-(lam_+ + r_+) q
-    - (lam_- + r_-) p} v_n(p, q); ``beta`` as in ``_scaled_v_n``."""
+    - (lam_- + r_-) p} v_n(p, q)."""
     if p.size == 0:
         return np.empty(0)
     return _scaled_v_n(
         p, q, n, sigma, (lam_p + r_p) - (lam_m + r_m),
-        _log_lambda_n(n, sigma, lam_p, lam_m), lam_p + r_p, lam_m + r_m, beta,
+        _log_lambda_n(n, sigma, lam_p, lam_m), lam_p + r_p, lam_m + r_m,
     )
 
 
@@ -540,6 +487,8 @@ def u_n(
     kernel in between (boundaries included in the wedge).
     """
     check_regime(sigma)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if lam_p <= 0 or lam_m <= 0:
         raise ValueError("intensities must be positive")
     scalar = np.ndim(y) == 0 and np.ndim(t) == 0
@@ -555,33 +504,8 @@ def u_n(
         split.p[0], split.q[0], n, sigma, lam_p, lam_m, r_p, r_m
     )
     below = split.below > 0
-    out[below] = rho_n(t_flat[below], n, sigma, lam_p, lam_m, r_p, r_m)
+    out[below] = _rho_rows(t_flat[below], n, sigma, lam_p, lam_m, r_p, r_m)[n]
     return float(out[0]) if scalar else out.reshape(y_arr.shape)
-
-
-def U_n(
-    y: np.ndarray | float,
-    t: np.ndarray | float,
-    n: int,
-    sigma: Regime,
-    lam_p: float,
-    lam_m: float,
-    c_p: float,
-    c_m: float,
-    r_p: float,
-    r_m: float,
-    h_p: float,
-    h_m: float,
-) -> np.ndarray | float:
-    """Stock-tilted series term: U_n = u_n at intensities lam*(1 + h), r = 0.
-
-    The per-term stock jump factor kappa_n is absorbed exactly by the tilt.
-    """
-    lam_bar_p = lam_p * (1.0 + h_p)
-    lam_bar_m = lam_m * (1.0 + h_m)
-    if lam_bar_p <= 0 or lam_bar_m <= 0:
-        raise ValueError("tilted intensities must be positive (requires h > -1)")
-    return u_n(y, t, n, sigma, lam_bar_p, lam_bar_m, c_p, c_m, 0.0, 0.0)
 
 
 def _quad_order(n_max: int, tilt: float) -> int:
@@ -786,12 +710,11 @@ def call_u_U(
             y_flat[part], t_flat[part], b, order, params.c_plus, params.c_minus
         )
         wedge_n = [n for n, w in enumerate(split.wedge) if w.size]
-        beta = _beta_table(wedge_n[-1] // 2) if wedge_n else None
         for total, cum, r in zip(sums[:, part], cums, rates):
             total[:] = cum[split.below, t_pos[part]]
             for n in wedge_n:
                 total[split.wedge[n]] += _wedge_term(
-                    split.p[n], split.q[n], n, sigma, *r, beta
+                    split.p[n], split.q[n], n, sigma, *r
                 )
     if not np.isfinite(sums).all():
         raise TruncationError(f"transport series overflowed within {n_used + 1} terms")

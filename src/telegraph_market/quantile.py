@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
-from .model import ModelParams, kappa, linear_transform_coeffs, log_kappa_sequence
+from .model import ModelParams, linear_transform_coeffs, log_kappa_sequence
 from .numerics import geometric_root
 from .pricing import (
     CallSpec,
@@ -91,23 +91,6 @@ def _log_slice_coeffs(
     log_kap_star = log_kappa_sequence(n_max, sig, intens.h_star_plus, intens.h_star_minus)
     log_kap = log_kappa_sequence(n_max, sig, params.h_plus, params.h_minus)
     return math.log(gamma) + log_kap_star - a * log_kap + b * maturity
-
-
-def _slice_coeff(
-    n: int,
-    gamma: float,
-    params: ModelParams,
-    intens: MartingaleIntensities,
-    a: float,
-    b: float,
-    maturity: float,
-) -> float:
-    """C_n = gamma kappa*_n kappa_n^{-a} e^{bT} of the threshold equation,
-    from the kappa products: the scalar cross-check of ``_log_slice_coeffs``."""
-    sig = params.sigma0
-    kap = kappa(n, sig, params.h_plus, params.h_minus)
-    kap_star = kappa(n, sig, intens.h_star_plus, intens.h_star_minus)
-    return gamma * kap_star * kap ** (-a) * math.exp(b * maturity)
 
 
 _NEWTON_MAX_ITER = 100

@@ -11,6 +11,9 @@ the series stops are found by a per-n loop over a scalar tail bound, and the
 starting-regime occupation is summed from the differences of the full
 boundary array, and the replication backtest prices every grid point of
 every path, the no-switch prefix each path shares included.
+
+``phi_kn`` is the one exception: a view over the transport route's private
+tables, which the derivative tests difference against its identities.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from telegraph_market.model import (
     path_state,
 )
 from telegraph_market.numerics import gauss_legendre_nodes
+from telegraph_market import pricing
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
 _MGF_QUAD_ORDER = 400  # Gauss-Legendre nodes over the support in ``mgf_series``
@@ -64,6 +68,26 @@ def switch_count_masses_ode(
     pi0[0] = 1.0
     sol = solve_ivp(rhs, (0.0, t), pi0, rtol=1e-12, atol=1e-14, method="DOP853")
     return sol.y[:, -1]
+
+
+def phi_kn(k: int, n: int, p: np.ndarray | float, a_bar: float) -> np.ndarray | float:
+    """Auxiliary kernels phi_{k,n}(p) of the wedge kernels; phi_{0,n} = P_{2n+1}.
+
+    phi_{k,n} = sum_{j<k} a_bar^{k-j-1} beta_{k,j} P_{2n-j}^{(-)}(p) for k >= 1,
+    the coefficients from ``pricing._fill_phi`` and every order read from one
+    ``pricing._kernel_table``. Raises TruncationError when a coefficient
+    overflows.
+    """
+    if k < 0 or k > n:
+        raise ValueError("phi_kn requires 0 <= k <= n")
+    p_arr = np.asarray(p, dtype=float)
+    coef = np.zeros((1, 2 * n + 2))
+    pricing._fill_phi(coef, np.array([k]), n, a_bar)
+    orders = [2 * n + 1] if k == 0 else range(2 * n, 2 * n - k, -1)
+    lo = min(orders)
+    table = pricing._kernel_table(p_arr.ravel(), max(orders), a_bar, n_min=lo)
+    acc = sum(coef[0, o] * table[o - lo] for o in orders).reshape(p_arr.shape)
+    return acc if np.ndim(p) else float(acc)
 
 
 def u_n_quadrature(

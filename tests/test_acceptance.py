@@ -25,11 +25,9 @@ from telegraph_market.model import ModelParams, kappa, log_kappa_sequence, sampl
 from telegraph_market.pricing import (
     CallSpec,
     SeriesControls,
-    U_n,
-    beta_coeff,
+    _beta_table,
     call_price,
     merton_price,
-    phi_kn,
     series_terms,
     symmetric_price_check,
     u_n,
@@ -37,7 +35,7 @@ from telegraph_market.pricing import (
 )
 from telegraph_market.quantile import Budget, solve_budget_gamma, solve_dual
 
-from oracles import U_n_quadrature, switch_count_masses_ode, u_n_quadrature
+from oracles import U_n_quadrature, phi_kn, switch_count_masses_ode, u_n_quadrature
 from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
 
 CTRL = SeriesControls()
@@ -118,6 +116,9 @@ def test_criterion_02_series_terms_vs_quadrature():
         assert lam_p > 0 and lam_m > 0
         base = dict(lam_p=lam_p, lam_m=lam_m, c_p=s["c_p"], c_m=s["c_m"],
                     r_p=s["r_p"], r_m=s["r_m"])
+        # U_n is u_n at the tilted intensities lam* (1 + h), undiscounted
+        tilted = dict(base, lam_p=lam_p * (1.0 + s["h_p"]),
+                      lam_m=lam_m * (1.0 + s["h_m"]), r_p=0.0, r_m=0.0)
         rates = ((lam_p, lam_m, s["r_p"], s["r_m"]),
                  (lam_p * (1.0 + s["h_p"]), lam_m * (1.0 + s["h_m"]), 0.0, 0.0))
         ys = (s["c_m"] * t - 0.3,                 # below the slow ray
@@ -135,7 +136,7 @@ def test_criterion_02_series_terms_vs_quadrature():
                     worst_batched = max(
                         worst_batched, abs(batched_u[n] - a) / max(abs(a), 1e-12)
                     )
-                    a = U_n(y, t, n, sigma, **base, h_p=s["h_p"], h_m=s["h_m"])
+                    a = u_n(y, t, n, sigma, **tilted)
                     b = U_n_quadrature(y, t, n, sigma, **base,
                                        h_p=s["h_p"], h_m=s["h_m"])
                     worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
@@ -354,13 +355,14 @@ def test_criterion_08_quantile_hedging():
 def test_criterion_09_combinatorics():
     # beta closed form with exact rational arithmetic, k <= 20
     beta_ok = True
+    beta = _beta_table(20)
     for k in range(1, 21):
         for j in range(k):
             m = j // 2
             num = Fraction(1)
             for i in range(m):
                 num *= k - j + i
-            if beta_coeff(k, j) != float(num / math.factorial(m)):
+            if beta[k, j] != float(num / math.factorial(m)):
                 beta_ok = False
     # phi' and the v-system by central differences
     rng = np.random.default_rng(9)

@@ -392,6 +392,38 @@ def test_density_normalizes(cfg, capsys):
     assert data[0, 0] == pytest.approx(-0.3) and data[-1, 0] == pytest.approx(0.5)
 
 
+def _density_rows(out):
+    """(x, p_continuous) columns of a density CSV and its atom comment."""
+    lines = out.splitlines()
+    assert lines[0] == "x,p_continuous" and lines[-1].startswith("# atom ")
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:-1]]).T
+
+
+def test_density_past_the_bessel_series_range(cfg, capsys):
+    # t = 380: the Bessel argument reaches 658 inside the support, where I_0
+    # alone is ~1e284; the interior values match the per-switch-count sum
+    from telegraph_market.densities import DensityParams, p_n_continuous
+
+    code, out = _run(["density", "--config", cfg, "--t", "380", "--points", "5"], capsys)
+    assert code == 0
+    x, p = _density_rows(out)
+    dens = DensityParams(c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5)
+    # terms past n ~ 1750 underflow to 0 at every interior point
+    ref = sum(p_n_continuous(x[1:-1], 380.0, n, +1, dens) for n in range(1, 2001))
+    np.testing.assert_allclose(p[1:-1], ref, rtol=1e-12, atol=0.0)
+
+
+def test_density_huge_t_is_zero_without_warnings(cfg, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["density", "--config", cfg, "--t", "1e200", "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    x, p = _density_rows(captured.out)
+    assert np.isfinite(x).all() and not p.any()
+
+
 def test_density_non_finite_t_exit_code(cfg, capsys):
     # an infinite t is refused by name before any output or warning
     with warnings.catch_warnings():
@@ -454,12 +486,12 @@ def test_hedge_steep_market_many_terms(tmp_path, capsys):
 
 def test_hedge_kernel_overflow_exit_code(cfg, capsys, monkeypatch):
     # a transport coefficient out of the float range (a_bar^k overflows on
-    # steep markets once wedge points reach k ~ 240): a typed error, exit 3
-    # with the message, no traceback
-    def out_of_range(k, j):
-        raise OverflowError(34, "Numerical result out of range")
+    # steep markets once wedge points reach k ~ 240, beta_{k,j} from
+    # k = 1484): a typed error, exit 3 with the message, no traceback
+    def out_of_range(k_max):
+        return np.full((k_max + 1, k_max), np.inf)
 
-    monkeypatch.setattr(pricing, "beta_coeff", out_of_range)
+    monkeypatch.setattr(pricing, "_beta_table", out_of_range)
     code = main(["hedge", "--config", cfg, "--strike", "100", "--maturity", "1",
                  "--paths", "2", "--grid", "10"])
     captured = capsys.readouterr()

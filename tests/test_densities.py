@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0 as scipy_i0, i1 as scipy_i1
+from scipy.special import i0e as scipy_i0e, i1e as scipy_i1e
 
+import telegraph_market.densities as densities
 from telegraph_market.densities import (
     DensityParams,
-    bessel_i0,
-    bessel_i1,
-    bessel_i1_over_half_z,
     density_total,
     kolmogorov_residual,
     log_q_n,
@@ -113,12 +111,17 @@ def test_log_density_vectorized_over_n():
 
 
 def test_bessel_series_vs_scipy():
-    z = np.linspace(0.0, 40.0, 57)
-    assert np.allclose(bessel_i0(z), scipy_i0(z), rtol=1e-13)
-    assert np.allclose(bessel_i1(z), scipy_i1(z), rtol=1e-13)
+    # e^{-z} I_0 and e^{-z} I_1 / (z / 2): the series up to z = 30, the
+    # large-argument expansion beyond, both sides of the switch and far past
+    # the old ceiling z = 650, where I_0 alone overflows
+    z = np.concatenate([np.linspace(0.0, 40.0, 57), [29.999, 30.0, 30.001],
+                        np.logspace(1.5, 200.0, 60)])
+    i0, i1_half = densities._scaled_bessel(z)
+    np.testing.assert_allclose(i0, scipy_i0e(z), rtol=1e-14, atol=0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(z > 0, scipy_i1(z) / (z / 2.0), 1.0)
-    assert np.allclose(bessel_i1_over_half_z(z), ratio, rtol=1e-13)
+        ratio = np.where(z > 0, scipy_i1e(z) / (z / 2.0), 1.0)
+    np.testing.assert_allclose(i1_half, ratio, rtol=1e-14, atol=0.0)
+    assert densities._scaled_bessel(np.float64(0.0)).tolist() == [1.0, 1.0]
 
 
 def test_mgf_normalizes_at_zero():
@@ -183,12 +186,18 @@ def test_mgf_divergence_flagged():
         mgf(40.0, 1.0, +1, DENS, 20.0, 20.0)
 
 
-def test_kolmogorov_residual_small_and_perturbation_detected():
+def test_kolmogorov_residual_small_and_perturbation_detected(monkeypatch):
     t = 1.0
     x_grid = np.linspace(DENS.c_minus * t * 0.5, DENS.c_plus * t * 0.5, 9)
     rep = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4)
     assert rep.max_residual < 1e-5
-    bad = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4, perturb=1.01)
+    # scale the n = 3 values by 1.01, leaving the n = 2 source as it is
+    real = densities.p_n_continuous
+    monkeypatch.setattr(
+        densities, "p_n_continuous",
+        lambda x, t, n, *rest: real(x, t, n, *rest) * (1.01 if n == 3 else 1.0),
+    )
+    bad = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4)
     assert bad.max_residual > 100 * rep.max_residual
 
 

@@ -13,17 +13,12 @@ from telegraph_market.pricing import (
     CallSpec,
     P_n,
     SeriesControls,
-    U_n,
-    beta_coeff,
     call_price,
     call_u_U,
     call_value_surface,
     european_price_F,
     hyp1f1,
     merton_price,
-    phi_kn,
-    pochhammer,
-    rho_n,
     series_rates,
     series_terms,
     symmetric_price_check,
@@ -33,18 +28,18 @@ from telegraph_market.pricing import (
 
 from telegraph_market.quantile import _n_cutoff
 
-from oracles import U_n_quadrature, n_cutoff_loop, series_length_loop, u_n_quadrature
+from oracles import (
+    U_n_quadrature,
+    n_cutoff_loop,
+    phi_kn,
+    series_length_loop,
+    u_n_quadrature,
+)
 
 CTRL = SeriesControls()
 
 
 # --- kernel building blocks -------------------------------------------------
-
-def test_pochhammer_values():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(3.0, 2) == 12.0
-    assert pochhammer(0.5, 3) == pytest.approx(0.5 * 1.5 * 2.5)
-
 
 def test_hyp1f1_against_mpmath():
     mp = pytest.importorskip("mpmath")
@@ -79,11 +74,22 @@ def test_P_n_small_cases():
     assert P_n(t, 1, -1, ab) == pytest.approx(P_n(t, 1, +1, ab), rel=1e-13)
 
 
+def _rho(t, n, sigma, *rates):
+    """Full-mass term rho_n(t) at one time: row n of ``_rho_rows``."""
+    return float(pricing._rho_rows(np.array([float(t)]), n, sigma, *rates)[n, 0])
+
+
+def _comb_beta(k, j):
+    """beta_{k,j} = C(k - j + floor(j/2) - 1, floor(j/2)), an exact integer."""
+    return math.comb(k - j + j // 2 - 1, j // 2)
+
+
 def test_beta_coefficients_exact():
     # closed form beta_{k,j} = (k-j)_{floor(j/2)} / floor(j/2)!, recomputed
     # here with exact integer arithmetic for every 0 <= j < k <= 20
     from fractions import Fraction
 
+    beta = pricing._beta_table(20)
     for k in range(1, 21):
         for j in range(k):
             m = j // 2
@@ -91,9 +97,34 @@ def test_beta_coefficients_exact():
             for i in range(m):
                 num *= k - j + i
             expect = num / math.factorial(m)
-            assert beta_coeff(k, j) == float(expect)
-    assert beta_coeff(4, 2) == 2.0
-    assert beta_coeff(5, 2) == 3.0
+            assert beta[k, j] == float(expect)
+    assert beta[4, 2] == 2.0
+    assert beta[5, 2] == 3.0
+
+
+def test_beta_table_matches_binomials():
+    # every entry up to k = 60 is the exact integer (beta_{44,36} = 480700 is
+    # the first the rising-factorial formula rounded), 0 for j >= k
+    beta = pricing._beta_table(60)
+    assert beta.shape == (61, 60)
+    for k in range(61):
+        for j in range(60):
+            assert beta[k, j] == (_comb_beta(k, j) if j < k else 0)
+
+
+def test_beta_table_past_the_factorial_range():
+    # at k = 343 the rising-factorial formula needed 171!, past the float
+    # range; the recurrence stays finite to k = 400 and within a few ulps of
+    # the exact integers (worst 1.02e-15, at beta_{392,28}). Growing the
+    # table leaves the rows already handed out unchanged
+    small = pricing._beta_table(60).copy()
+    beta = pricing._beta_table(400)
+    assert np.isfinite(beta).all()
+    np.testing.assert_array_equal(beta[:61, :60], small)
+    for k in range(1, 401):
+        exact = np.array([float(_comb_beta(k, j)) for j in range(k)])
+        np.testing.assert_allclose(beta[k, :k], exact, rtol=2e-15, atol=0.0)
+    assert not np.triu(beta[:400]).any()  # 0 for j >= k
 
 
 def test_phi_derivative_in_p():
@@ -156,7 +187,7 @@ def test_rho_n_where_lambda_n_overflows(n, sigma):
     mp = pytest.importorskip("mpmath")
     lam_p, lam_m, r, t = 20.0, 15.0, 0.05, 17.0
     with np.errstate(over="raise", invalid="raise"):
-        got = rho_n(t, n, sigma, lam_p, lam_m, r, r)
+        got = _rho(t, n, sigma, lam_p, lam_m, r, r)
     lam_s, lam_o = (lam_p, lam_m) if sigma == +1 else (lam_m, lam_p)
     m = n // 2 if sigma == +1 else (n - 1) // 2
     with mp.workdps(30):
@@ -204,7 +235,7 @@ def test_kernel_table_against_mpmath():
 
 @pytest.mark.parametrize("sigma", [+1, -1])
 def test_rho_n_both_regimes_against_mpmath(sigma):
-    # rho_n reads the (-) table for sigma = -1 and its mirror at -a_bar for
+    # _rho_rows reads the (-) table for sigma = -1 and its mirror at -a_bar for
     # sigma = +1; |a_bar| t reaches 1000 with either sign of a_bar
     mp = pytest.importorskip("mpmath")
     r = 0.05
@@ -217,7 +248,7 @@ def test_rho_n_both_regimes_against_mpmath(sigma):
                     * mp.mpf(lam_s) ** (n - n // 2) * mp.mpf(lam_o) ** (n // 2)
                     * _mp_P_n(mp, t, n, sigma, lam_p - lam_m)
                 )
-                got = rho_n(t, n, sigma, lam_p, lam_m, r, r)
+                got = _rho(t, n, sigma, lam_p, lam_m, r, r)
                 if ref > 1e-290:
                     assert got == pytest.approx(float(ref), rel=1e-12)
                 else:
@@ -236,7 +267,7 @@ def test_rho_n_past_the_direct_series_range():
             mp.exp(-(lam_m + r) * t) * mp.mpf(lam_p) ** (n // 2)
             * mp.mpf(lam_m) ** (n // 2) * _mp_P_n(mp, t, n, +1, lam_p - lam_m)
         )
-    assert rho_n(t, n, +1, lam_p, lam_m, r, r) == pytest.approx(float(ref), rel=1e-12)
+    assert _rho(t, n, +1, lam_p, lam_m, r, r) == pytest.approx(float(ref), rel=1e-12)
 
 
 # --- series terms against quadrature oracles --------------------------------
@@ -263,15 +294,18 @@ def test_u_n_matches_quadrature(ps, sigma):
 @pytest.mark.parametrize("sigma", [+1, -1])
 def test_U_n_matches_quadrature(sigma):
     # the stock-tilt identity holds at the martingale intensities
-    # lam* = (r - c)/h, which is where the pricer evaluates U_n
+    # lam* = (r - c)/h, which is where the pricer evaluates U_n: u_n at
+    # the tilted intensities lam* (1 + h), undiscounted
     ps = dict(PARAM_SETS[0])
     hp, hm = -0.2, 0.4
     ps["lam_p"] = (ps["r_p"] - ps["c_p"]) / hp
     ps["lam_m"] = (ps["r_m"] - ps["c_m"]) / hm
+    tilted = dict(ps, lam_p=ps["lam_p"] * (1.0 + hp), lam_m=ps["lam_m"] * (1.0 + hm),
+                  r_p=0.0, r_m=0.0)
     t = 1.0
     for n in range(5):
         for y in (-0.5, 0.05, 0.4):
-            ours = U_n(y, t, n, sigma, **ps, h_p=hp, h_m=hm)
+            ours = u_n(y, t, n, sigma, **tilted)
             oracle = U_n_quadrature(y, t, n, sigma, **ps, h_p=hp, h_m=hm)
             assert ours == pytest.approx(oracle, rel=2e-8, abs=1e-13)
 
@@ -283,7 +317,7 @@ def test_u_n_regions(asym_params):
         # above the fast ray: zero
         assert u_n(ps["c_p"] * t + 1e-9, t, n, +1, **ps) == 0.0
         # below the slow ray: the full discounted slice mass rho_n
-        full = rho_n(t, n, +1, ps["lam_p"], ps["lam_m"], ps["r_p"], ps["r_m"])
+        full = _rho(t, n, +1, ps["lam_p"], ps["lam_m"], ps["r_p"], ps["r_m"])
         assert u_n(ps["c_m"] * t - 1e-9, t, n, +1, **ps) == pytest.approx(
             full, rel=1e-12
         )
@@ -339,7 +373,7 @@ def test_series_terms_mixed_lower_limits(asym_params):
                 )
                 assert row[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
             assert row[1] == 0.0 and row[4] == 0.0 and row[6] == 0.0
-            assert row[3] == pytest.approx(rho_n(t, 3, sigma, *rate), rel=1e-12)
+            assert row[3] == pytest.approx(_rho(t, 3, sigma, *rate), rel=1e-12)
 
 
 def test_series_terms_atom_boundaries():
@@ -488,7 +522,7 @@ def test_equal_velocity_terms_are_full_masses(monkeypatch, sigma0):
         assert rate[0] + rate[2] != rate[1] + rate[3]  # a_bar != 0
         assert np.all(terms[~live] == 0.0)
         for n in np.flatnonzero(live):
-            ref = rho_n(spec.maturity, int(n), sigma0, *rate)
+            ref = _rho(spec.maturity, int(n), sigma0, *rate)
             assert terms[n] == pytest.approx(ref, rel=1e-12)
 
 
@@ -592,19 +626,21 @@ def _rebased_prices(params, spec, t, x, sigma):
 
 
 def _per_term_values(params, spec, t, x, sigma, n_max=40):
-    """S U - K u summed term by term from u_n and U_n (live points)."""
+    """S U - K u summed term by term from u_n, U_n being u_n at the tilted
+    intensities lam* (1 + h), undiscounted (live points)."""
     intens = martingale_intensities(params)
     lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
     rates = dict(lam_p=lsp, lam_m=lsm, c_p=params.c_plus, c_m=params.c_minus,
                  r_p=params.r_plus, r_m=params.r_minus)
+    tilted = dict(rates, lam_p=lsp * (1.0 + params.h_plus),
+                  lam_m=lsm * (1.0 + params.h_minus), r_p=0.0, r_m=0.0)
     s = spec.maturity - t
     y = np.log(spec.strike / x)
     b = log_kappa_sequence(n_max, sigma, params.h_plus, params.h_minus)
     u = U = 0.0
     for n in range(n_max + 1):
         u = u + u_n(y - b[n], s, n, sigma, **rates)
-        U = U + U_n(y - b[n], s, n, sigma, **rates,
-                    h_p=params.h_plus, h_m=params.h_minus)
+        U = U + u_n(y - b[n], s, n, sigma, **tilted)
     return x * U - spec.strike * u
 
 

@@ -111,7 +111,7 @@ def test_case_label_splits_at_unit_exponent():
 
 
 def test_double_threshold_structure(double_params):
-    from telegraph_market.quantile import _slice_coeff
+    from telegraph_market.model import kappa
 
     intens = martingale_intensities(double_params)
     a, b = density_ratio_coeffs(double_params, intens)
@@ -127,6 +127,7 @@ def test_double_threshold_structure(double_params):
     # relative Newton step |g| / (|g'| z): z1 sits next to K/S0, where g' is
     # about C_n S0 and a residual scaled by z^{-a} alone would read large
     s0, strike, alpha = double_params.s0, spec.strike, -a
+    sig = double_params.sigma0
     windows = 0
     for gamma in np.logspace(-2, 3, 6):
         for n in range(8):
@@ -134,7 +135,10 @@ def test_double_threshold_structure(double_params):
             if roots is None:
                 continue
             windows += 1
-            c_n = _slice_coeff(n, gamma, double_params, intens, a, b, spec.maturity)
+            # C_n = gamma kappa*_n kappa_n^{-a} e^{bT} from the kappa products
+            kap = kappa(n, sig, double_params.h_plus, double_params.h_minus)
+            kap_star = kappa(n, sig, intens.h_star_plus, intens.h_star_minus)
+            c_n = gamma * kap_star * kap ** (-a) * math.exp(b * spec.maturity)
             for z in roots:
                 g = z**alpha - c_n * (s0 * z - strike)
                 g_prime = alpha * z ** (alpha - 1.0) - c_n * s0
