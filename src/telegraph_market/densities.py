@@ -139,14 +139,6 @@ def q_n(
     return out if out.ndim else float(out)
 
 
-def _density_exponent(
-    x: np.ndarray | float, t: float, sigma: Regime, params: DensityParams
-) -> np.ndarray:
-    """Exponential factor (-lambda_s + nu c_s) t - nu x shared by every p_n."""
-    x_arr = np.asarray(x, dtype=float)
-    return (-params.lam(sigma) + params.nu * params.c(sigma)) * t - params.nu * x_arr
-
-
 def p_n_continuous(
     x: np.ndarray | float,
     t: float,
@@ -154,10 +146,15 @@ def p_n_continuous(
     sigma: Regime,
     params: DensityParams,
 ) -> np.ndarray | float:
-    """Continuous part of the n-switch density (n >= 1)."""
+    """Continuous part of the n-switch density (n >= 1):
+    exp((-lambda_s + nu c_s) t - nu x + log q_n) on the open support, in one
+    exponent so that neither factor underflows where their product is a
+    float."""
     x_arr = np.asarray(x, dtype=float)
-    pref = _density_exponent(x_arr, t, sigma, params)
-    out = np.exp(pref) * q_n(x_arr, t, n, sigma, params)
+    expo = (-params.lam(sigma) + params.nu * params.c(sigma)) * t - params.nu * x_arr
+    expo = expo + log_q_n(x_arr, t, n, sigma, params)
+    inside = (x_arr > params.c_minus * t) & (x_arr < params.c_plus * t)
+    out = np.where(inside, np.exp(expo), 0.0)
     return out if np.ndim(x) else float(out)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .densities import DensityParams, mgf
 from .measure import martingale_intensities
 from .model import ModelParams, PathState, sample_switch_times, switch_state
-from .quantile import QuantileSolution, Threshold
+from .quantile import QuantileSolution, Threshold, _threshold_bands
 
 _BLOCK_SIZE = 1 << 14
 
@@ -161,21 +161,14 @@ def mc_success_probability(
 def _in_success_set(
     thresholds: Sequence[Threshold], n_sw: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Whether each terminal (N(T), X(T)) lies in the success set.
+    """Whether each terminal (N(T), X(T)) lies in the success set, by the
+    band convention of ``quantile``'s module docstring.
 
-    Switch count n maps to bounds (lo, hi) with inclusion iff x <= lo or
-    x >= hi: a threshold y gives (y, inf), a pair is itself, and None (fully
-    included) gives (inf, inf). Switch counts beyond the stored range read
-    one more None: they are treated as fully included, matching the series
-    form (their total mass is below the series tail).
+    Switch counts beyond the stored range read one more None: they are
+    treated as fully included, matching the series form (their total mass
+    is below the series tail).
     """
-
-    def bounds(thr: Threshold) -> tuple[float, float]:
-        if thr is None:
-            return math.inf, math.inf
-        return thr if isinstance(thr, tuple) else (thr, math.inf)
-
-    lo, hi = np.array([bounds(thr) for thr in (*thresholds, None)]).T
+    lo, hi = _threshold_bands((*thresholds, None))
     n = np.minimum(n_sw, len(thresholds))
     return (x <= lo[n]) | (x >= hi[n])
 

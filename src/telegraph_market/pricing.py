@@ -993,20 +993,17 @@ def european_price_F(
     kap = np.exp(
         log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
     )
-    r_sig = params.r(sigma)
     c_sig = params.c(sigma)
     pay = np.vectorize(payoff, otypes=[float])
 
     if params.c_plus == params.c_minus:
-        if params.r_plus != params.r_minus:
-            raise ValueError(
-                "degenerate velocities with distinct rates are not supported"
-            )
-        # deterministic log-price drift; only the switch count is random
+        # deterministic log-price drift: the value is a sum over the switch
+        # count of its discounted full masses times the payoff
         n_used, _ = series_length(s, s, controls, (1.0, 0.0, max(lsp, lsm), 0.0))
-        masses = _rho_rows(np.array([s]), n_used, sigma, lsp, lsm, 0.0, 0.0)[:, 0]
-        acc = masses @ pay(x * math.exp(c_sig * s) * kap[: n_used + 1])
-        return math.exp(-r_sig * s) * float(acc)
+        masses = _rho_rows(
+            np.array([s]), n_used, sigma, lsp, lsm, params.r_plus, params.r_minus
+        )[:, 0]
+        return float(masses @ pay(x * math.exp(c_sig * s) * kap[: n_used + 1]))
 
     a_r, b_r = linear_transform_coeffs(
         params.c_plus, params.c_minus, params.r_plus, params.r_minus

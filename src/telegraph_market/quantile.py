@@ -6,6 +6,12 @@ terminal moneyness z = S(T)/S0 solving z^{-a} = gamma kappa*_n kappa_n^{-a}
 e^{bT} (S0 z - K)^+. Budgets and success probabilities are then series in n:
 capital terms use martingale-measure quantities, probabilities physical ones.
 
+The thresholds of slice n are held as a band (lo, hi) of X(T): a path is in
+the success set iff X(T) <= lo or X(T) >= hi, where inf means no bound, so
+(inf, inf) is a fully included slice and (y, inf) a single threshold y.
+``_threshold_bands`` is the one map from the public ``Threshold`` form to
+bands, for this module and for the Monte Carlo check in ``mc``.
+
 Both problems solve for gamma the same way: the budget problem matches the
 capital of the success set to the budget, the dual matches its success
 probability to 1 - epsilon. Both fall as gamma grows, so one search with one
@@ -75,22 +81,6 @@ def density_ratio_coeffs(
     return linear_transform_coeffs(
         params.c_plus, params.c_minus, intens.c_star_plus, intens.c_star_minus
     )
-
-
-def _log_slice_coeffs(
-    n_max: int,
-    gamma: float,
-    params: ModelParams,
-    intens: MartingaleIntensities,
-    a: float,
-    b: float,
-    maturity: float,
-) -> np.ndarray:
-    """log C_n = log gamma + log kappa*_n - a log kappa_n + bT for n = 0..n_max."""
-    sig = params.sigma0
-    log_kap_star = log_kappa_sequence(n_max, sig, intens.h_star_plus, intens.h_star_minus)
-    log_kap = log_kappa_sequence(n_max, sig, params.h_plus, params.h_minus)
-    return math.log(gamma) + log_kap_star - a * log_kap + b * maturity
 
 
 _NEWTON_MAX_ITER = 100
@@ -181,12 +171,122 @@ def _moneyness_roots(
     return z1, z2
 
 
-def _as_threshold(first: float, second: float) -> Threshold:
-    if math.isnan(first):
-        return None
-    if math.isnan(second):
-        return first
-    return (first, second)
+@dataclass(frozen=True)
+class _Problem:
+    """One call on one market and what every gamma of its solves shares:
+    the gamma-free parts of log C_n = (log gamma + log kappa*_n) -
+    a log kappa_n + bT for n = 0..n_max, and log kappa_n, which shifts a
+    moneyness threshold to X(T). Only ``capital`` reads ``perfect``, the
+    perfect-hedge price."""
+
+    params: ModelParams
+    spec: CallSpec
+    intens: MartingaleIntensities
+    perfect: float
+    a: float
+    b: float
+    log_kap_star: np.ndarray
+    a_log_kap: np.ndarray
+    bt: float
+    log_kap: np.ndarray
+
+    @classmethod
+    def of(cls, params: ModelParams, spec: CallSpec, intens: MartingaleIntensities,
+           perfect: float, n_max: int) -> _Problem:
+        a, b = density_ratio_coeffs(params, intens)
+        sig = params.sigma0
+        log_kap_star = log_kappa_sequence(n_max, sig, intens.h_star_plus, intens.h_star_minus)
+        log_kap = log_kappa_sequence(n_max, sig, params.h_plus, params.h_minus)
+        return cls(params, spec, intens, perfect, a, b, log_kap_star, a * log_kap,
+                   b * spec.maturity, log_kap)
+
+    @classmethod
+    def for_call(cls, params: ModelParams, spec: CallSpec, controls: SeriesControls) -> _Problem:
+        intens = martingale_intensities(params)
+        perfect = call_price(params, spec, controls).price
+        return cls.of(params, spec, intens, perfect,
+                      _n_cutoff(params, intens, spec.maturity, controls))
+
+    def moneyness(self, gamma: float, n: slice = slice(None)) -> np.ndarray:
+        """Rows (z1, z2) of the moneyness thresholds of the slices ``n``
+        (``_moneyness_roots``), inf where a slice lacks the bound."""
+        log_c = math.log(gamma) + self.log_kap_star[n] - self.a_log_kap[n] + self.bt
+        z = np.stack(_moneyness_roots(log_c, -self.a, self.params.s0, self.spec.strike))
+        z[np.isnan(z)] = np.inf
+        return z
+
+    def bands(self, gamma: float) -> np.ndarray:
+        """Band rows (lo, hi) of X(T) for n = 0..n_max at this gamma."""
+        return np.log(self.moneyness(gamma)) - self.log_kap
+
+    def thresholds(self, bands: np.ndarray) -> tuple[Threshold, ...]:
+        """Public thresholds of band rows: None for a fully included slice,
+        the pair (lo, hi) in the double-threshold case, lo otherwise."""
+        double = _case_label(self.a) == "double_threshold"
+        return tuple(None if lo == math.inf else (lo, hi) if double else lo
+                     for lo, hi in bands.T.tolist())
+
+    def capital(self, bands: np.ndarray) -> float:
+        u, U = _excluded_masses(
+            bands, self.params, self.spec.maturity, *series_rates(self.params, self.intens)
+        )
+        return self.perfect - (self.params.s0 * U - self.spec.strike * u)
+
+    def solve(
+        self,
+        quantity: Callable[[np.ndarray], float],
+        target: float,
+        tol: float,
+        rtol: float,
+        abs_tol: float = 0.0,
+    ) -> QuantileSolution:
+        """Solution at the gamma where ``quantity`` (capital or success
+        probability, both falling in gamma) of the success set meets ``target``.
+
+        Evaluates gamma = 1, steps by x4 or x0.25 toward the sign change and
+        closes the bracket to rtol * gamma + abs_tol (``geometric_root``).
+        Where the quantity jumps across the target (the no-switch atom leaving
+        the success set) that stops next to the jump, and the residual above
+        ``tol`` raises BudgetError.
+        """
+        seen = {}  # gamma -> (bands, excess)
+
+        def excess_at(gamma: float) -> float:
+            bands = self.bands(gamma)
+            seen[gamma] = bands, quantity(bands) - target
+            return seen[gamma][1]
+
+        f1 = excess_at(1.0)
+        gamma = geometric_root(
+            excess_at, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=rtol, abs_tol=abs_tol
+        )
+        if gamma is None:
+            raise BudgetError(f"failed to bracket gamma: no success set meets {target:.12g}")
+        bands, residual = seen[gamma]  # geometric_root returns a point it evaluated
+        if abs(residual) > tol:
+            raise BudgetError(f"residual {abs(residual):.3g} too large: {target:.12g} falls "
+                              "in the jump where an atom leaves the success set")
+        maturity = self.spec.maturity
+        return QuantileSolution(
+            gamma=gamma, regime_case=_case_label(self.a), thresholds=self.thresholds(bands),
+            success_probability=_success_probability(bands, self.params, maturity),
+            budget=self.capital(bands), maturity=maturity, a=self.a, b=self.b,
+        )
+
+
+def _case_label(a: float) -> str:
+    return "double_threshold" if -a > 1.0 else "single_threshold"
+
+
+def _threshold_bands(thresholds: tuple[Threshold, ...]) -> np.ndarray:
+    """Band rows (lo, hi) of public thresholds: None gives (inf, inf), a
+    threshold y gives (y, inf) and a pair stays as it is."""
+    return np.array([
+        (math.inf, math.inf) if thr is None
+        else thr if isinstance(thr, tuple)
+        else (thr, math.inf)
+        for thr in thresholds
+    ], dtype=float).T
 
 
 def threshold_z(
@@ -219,10 +319,8 @@ def threshold_z(
         raise ValueError("gamma must be positive")
     if intens is None:
         intens = martingale_intensities(params)
-    a, b = density_ratio_coeffs(params, intens)
-    log_c = _log_slice_coeffs(n, gamma, params, intens, a, b, spec.maturity)[n:]
-    z1, z2 = _moneyness_roots(log_c, -a, params.s0, spec.strike)
-    return _as_threshold(float(z1[0]), float(z2[0]))
+    problem = _Problem.of(params, spec, intens, math.nan, n)
+    return problem.thresholds(problem.moneyness(gamma, slice(n, None)))[0]
 
 
 def _n_cutoff(params: ModelParams, intens: MartingaleIntensities,
@@ -236,51 +334,32 @@ def _n_cutoff(params: ModelParams, intens: MartingaleIntensities,
     return series_length(maturity, maturity, controls, (1.0, 0.0, lam_hi, 0.0))[0]
 
 
-def _thresholds_for_gamma(
-    gamma: float,
-    params: ModelParams,
-    spec: CallSpec,
-    intens: MartingaleIntensities,
-    n_max: int,
-) -> tuple[Threshold, ...]:
-    a, b = density_ratio_coeffs(params, intens)
-    log_c = _log_slice_coeffs(n_max, gamma, params, intens, a, b, spec.maturity)
-    z1, z2 = _moneyness_roots(log_c, -a, params.s0, spec.strike)
-    b_n = log_kappa_sequence(n_max, params.sigma0, params.h_plus, params.h_minus)
-    y1 = (np.log(z1) - b_n).tolist()
-    y2 = (np.log(z2) - b_n).tolist()
-    return tuple(_as_threshold(first, second) for first, second in zip(y1, y2))
-
-
 def _excluded_masses(
-    thresholds: tuple[Threshold, ...],
+    bands: np.ndarray,
     params: ModelParams,
     maturity: float,
     *rates: tuple[float, float, float, float],
 ) -> np.ndarray:
     """Mass of the excluded set summed over n, one sum per rate tuple.
 
-    Slice n is excluded above y1_n and, for a double threshold, below y2_n:
-    its mass is the u_n of ``series_terms`` at y1_n minus that at y2_n
-    (thresholds are X-space values, the argument convention of u_n). One
-    ``series_terms`` call per band serves every tuple: at ``series_rates``
-    the sums are the u and U of the capital S0 U - K u that the excluded set
-    loses, at the physical intensities with r = 0 its probability.
+    Slice n is excluded above lo_n and below hi_n: its mass is the u_n of
+    ``series_terms`` at lo_n minus that at hi_n (bands are X-space values,
+    the argument convention of u_n). One ``series_terms`` call per bound
+    serves every tuple: at ``series_rates`` the sums are the u and U of the
+    capital S0 U - K u that the excluded set loses, at the physical
+    intensities with r = 0 its probability.
     """
-    # y2 = +inf for a single threshold, and y1 = y2 = +inf for a fully
-    # included slice
-    bands = [
-        (np.inf, np.inf) if thr is None
-        else thr if isinstance(thr, tuple)
-        else (thr, np.inf)
-        for thr in thresholds
-    ]
-    first, second = np.array(bands, dtype=float).T
+    lo, hi = bands
     sig, cp, cm = params.sigma0, params.c_plus, params.c_minus
-    total = series_terms(first, maturity, sig, cp, cm, *rates).sum(axis=1)
-    if np.any(np.isfinite(second)):
-        total -= series_terms(second, maturity, sig, cp, cm, *rates).sum(axis=1)
+    total = series_terms(lo, maturity, sig, cp, cm, *rates).sum(axis=1)
+    if np.any(np.isfinite(hi)):
+        total -= series_terms(hi, maturity, sig, cp, cm, *rates).sum(axis=1)
     return total
+
+
+def _success_probability(bands: np.ndarray, params: ModelParams, maturity: float) -> float:
+    physical = (params.lambda_plus, params.lambda_minus, 0.0, 0.0)
+    return 1.0 - _excluded_masses(bands, params, maturity, physical)[0]
 
 
 def constrained_capital(
@@ -293,92 +372,16 @@ def constrained_capital(
     n_max: int,
 ) -> tuple[float, tuple[Threshold, ...]]:
     """Perfect-hedge price of the payoff restricted to the success set."""
-    problem = _Problem(params, spec, intens, perfect_price, n_max)
-    thresholds = _thresholds_for_gamma(gamma, params, spec, intens, n_max)
-    return problem.capital(thresholds), thresholds
+    problem = _Problem.of(params, spec, intens, perfect_price, n_max)
+    bands = problem.bands(gamma)
+    return problem.capital(bands), problem.thresholds(bands)
 
 
 def success_probability(
     solution: QuantileSolution, params: ModelParams
 ) -> float:
     """Physical probability of the success set: 1 minus the excluded mass."""
-    physical = (params.lambda_plus, params.lambda_minus, 0.0, 0.0)
-    return 1.0 - _excluded_masses(solution.thresholds, params, solution.maturity, physical)[0]
-
-
-def _case_label(a: float) -> str:
-    return "double_threshold" if -a > 1.0 else "single_threshold"
-
-
-@dataclass(frozen=True)
-class _Problem:
-    """One call on one market: what every gamma of a solve shares."""
-
-    params: ModelParams
-    spec: CallSpec
-    intens: MartingaleIntensities
-    perfect: float
-    n_max: int
-
-    @classmethod
-    def of(cls, params: ModelParams, spec: CallSpec, controls: SeriesControls) -> _Problem:
-        intens = martingale_intensities(params)
-        perfect = call_price(params, spec, controls).price
-        n_max = _n_cutoff(params, intens, spec.maturity, controls)
-        return cls(params, spec, intens, perfect, n_max)
-
-    def capital(self, thresholds: tuple[Threshold, ...]) -> float:
-        u, U = _excluded_masses(
-            thresholds, self.params, self.spec.maturity, *series_rates(self.params, self.intens)
-        )
-        return self.perfect - (self.params.s0 * U - self.spec.strike * u)
-
-    def success_probability(self, thresholds: tuple[Threshold, ...]) -> float:
-        physical = (self.params.lambda_plus, self.params.lambda_minus, 0.0, 0.0)
-        return 1.0 - _excluded_masses(thresholds, self.params, self.spec.maturity, physical)[0]
-
-    def solve(
-        self,
-        quantity: Callable[[tuple[Threshold, ...]], float],
-        target: float,
-        tol: float,
-        rtol: float,
-        abs_tol: float = 0.0,
-    ) -> QuantileSolution:
-        """Solution at the gamma where ``quantity`` (capital or success
-        probability, both falling in gamma) of the success set meets ``target``.
-
-        Evaluates gamma = 1, steps by x4 or x0.25 toward the sign change and
-        closes the bracket to rtol * gamma + abs_tol (``geometric_root``).
-        Where the quantity jumps across the target (the no-switch atom leaving
-        the success set) that stops next to the jump, and the residual above
-        ``tol`` raises BudgetError.
-        """
-        seen = {}  # gamma -> (thresholds, excess)
-
-        def excess_at(gamma: float) -> float:
-            thresholds = _thresholds_for_gamma(
-                gamma, self.params, self.spec, self.intens, self.n_max
-            )
-            seen[gamma] = thresholds, quantity(thresholds) - target
-            return seen[gamma][1]
-
-        f1 = excess_at(1.0)
-        gamma = geometric_root(
-            excess_at, 1.0, 4.0 if f1 > 0 else 0.25, f_start=f1, rtol=rtol, abs_tol=abs_tol
-        )
-        if gamma is None:
-            raise BudgetError(f"failed to bracket gamma: no success set meets {target:.12g}")
-        thresholds, residual = seen[gamma]  # geometric_root returns a point it evaluated
-        if abs(residual) > tol:
-            raise BudgetError(f"residual {abs(residual):.3g} too large: {target:.12g} falls "
-                              "in the jump where an atom leaves the success set")
-        a, b = density_ratio_coeffs(self.params, self.intens)
-        return QuantileSolution(
-            gamma=gamma, regime_case=_case_label(a), thresholds=thresholds,
-            success_probability=self.success_probability(thresholds),
-            budget=self.capital(thresholds), maturity=self.spec.maturity, a=a, b=b,
-        )
+    return _success_probability(_threshold_bands(solution.thresholds), params, solution.maturity)
 
 
 def solve_budget_gamma(
@@ -390,7 +393,7 @@ def solve_budget_gamma(
     """Find gamma so the constrained hedge costs exactly the budget, to
     1e-9 * S0; a budget inside the capital's jump at the no-switch atom
     raises BudgetError."""
-    problem = _Problem.of(params, spec, controls)
+    problem = _Problem.for_call(params, spec, controls)
     if budget.v0 >= problem.perfect:
         raise BudgetError(
             f"budget {budget.v0} must be below the perfect-hedge price {problem.perfect}"
@@ -410,9 +413,10 @@ def solve_dual(
     success probability's jump at the no-switch atom raises BudgetError."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    problem = _Problem.of(params, spec, controls)
+    problem = _Problem.for_call(params, spec, controls)
     return problem.solve(
-        problem.success_probability, 1.0 - epsilon, tol=1e-9, rtol=1e-13, abs_tol=1e-12
+        lambda bands: _success_probability(bands, params, spec.maturity),
+        1.0 - epsilon, tol=1e-9, rtol=1e-13, abs_tol=1e-12,
     )
 
 

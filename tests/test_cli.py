@@ -401,16 +401,18 @@ def _density_rows(out):
 
 def test_density_past_the_bessel_series_range(cfg, capsys):
     # t = 380: the Bessel argument reaches 658 inside the support, where I_0
-    # alone is ~1e284; the interior values match the per-switch-count sum
+    # alone is ~1e284; the interior values match the per-switch-count sum,
+    # also on 41 points, where the density falls to ~1e-240 near the edges
     from telegraph_market.densities import DensityParams, p_n_continuous
 
-    code, out = _run(["density", "--config", cfg, "--t", "380", "--points", "5"], capsys)
-    assert code == 0
-    x, p = _density_rows(out)
     dens = DensityParams(c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5)
-    # terms past n ~ 1750 underflow to 0 at every interior point
-    ref = sum(p_n_continuous(x[1:-1], 380.0, n, +1, dens) for n in range(1, 2001))
-    np.testing.assert_allclose(p[1:-1], ref, rtol=1e-12, atol=0.0)
+    for points in ("5", "41"):
+        code, out = _run(["density", "--config", cfg, "--t", "380", "--points", points], capsys)
+        assert code == 0
+        x, p = _density_rows(out)
+        # terms past n ~ 1750 underflow to 0 at every interior point
+        ref = sum(p_n_continuous(x[1:-1], 380.0, n, +1, dens) for n in range(1, 2001))
+        np.testing.assert_allclose(p[1:-1], ref, rtol=1e-12, atol=0.0)
 
 
 def test_density_huge_t_is_zero_without_warnings(cfg, capsys):

@@ -855,27 +855,38 @@ def test_european_price_F_matches_series_call(asym_params):
 
 def test_european_price_F_equal_velocities():
     # c_+ = c_-: the log-price drift is deterministic and the value is one
-    # sum of full masses times payoff values (lambda* = 3 in both regimes)
-    params = ModelParams(
+    # sum of discounted full masses times payoff values (lambda* = 3 in both
+    # regimes), with equal and with distinct rates
+    from telegraph_market.numerics import expm_2x2_row_sums
+
+    equal_r = ModelParams(
         c_plus=-0.1, c_minus=-0.1, lambda_plus=2.0, lambda_minus=1.5,
         h_plus=0.05, h_minus=0.05, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=+1,
     )
-    for maturity in (0.5, 1.0, 2.5):
-        for strike in (80.0, 100.0, 125.0):
-            call = european_price_F(
-                0.0, params.s0, params.sigma0,
-                lambda s: max(s - strike, 0.0), maturity, params, CTRL,
+    distinct_r = replace(equal_r, h_minus=0.04, r_minus=0.02)
+    for params in (equal_r, distinct_r):
+        intens = martingale_intensities(params)
+        lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+        for maturity in (0.5, 1.0, 2.5):
+            for strike in (80.0, 100.0, 125.0):
+                call = european_price_F(
+                    0.0, params.s0, params.sigma0,
+                    lambda s: max(s - strike, 0.0), maturity, params, CTRL,
+                )
+                assert type(call) is float
+                ref = call_price(params, CallSpec(strike, maturity), CTRL).price
+                # the branch stops on the bare mass tail, without the payoff's
+                # size (~S0): it leaves up to 8.2e-12 of the sum here
+                assert call == pytest.approx(ref, rel=1e-11, abs=1e-13 * params.s0)
+            # the zero-coupon bond E*[e^{-int r}] = (e^{T(Q* - R)} 1)_+
+            bond, _ = expm_2x2_row_sums(
+                -lsp - params.r_plus, lsp, lsm, -lsm - params.r_minus, maturity
             )
-            assert type(call) is float
-            ref = call_price(params, CallSpec(strike, maturity), CTRL).price
-            # the branch stops on the bare mass tail, without the payoff's
-            # size (~S0): it leaves up to 8.2e-12 of the sum here
-            assert call == pytest.approx(ref, rel=1e-11, abs=1e-13 * params.s0)
-        one = european_price_F(
-            0.0, params.s0, params.sigma0, lambda s: 1.0, maturity, params, CTRL
-        )
-        assert one == pytest.approx(math.exp(-params.r_plus * maturity), rel=1e-12)
-        stock = european_price_F(
-            0.0, params.s0, params.sigma0, lambda s: s, maturity, params, CTRL
-        )
-        assert stock == pytest.approx(params.s0, rel=1e-12)
+            one = european_price_F(
+                0.0, params.s0, params.sigma0, lambda s: 1.0, maturity, params, CTRL
+            )
+            assert one == pytest.approx(bond, rel=1e-12)
+            stock = european_price_F(
+                0.0, params.s0, params.sigma0, lambda s: s, maturity, params, CTRL
+            )
+            assert stock == pytest.approx(params.s0, rel=1e-12)

@@ -161,15 +161,44 @@ def test_one_series_terms_call_per_sum(asym_params, params, double_params, monke
     monkeypatch.setattr(quantile, "series_terms", spy)
     call_price(asym_params, SPEC, CTRL)
     assert calls == [2]
-    # single thresholds exclude one band, double thresholds two
-    for market, bands in ((params, 1), (double_params, 2)):
-        problem = quantile._Problem.of(market, SPEC, CTRL)
-        thresholds = quantile._thresholds_for_gamma(
-            1.0, market, SPEC, problem.intens, problem.n_max
-        )
+    # single thresholds bound the excluded band on one side, double
+    # thresholds on both
+    for market, bounds in ((params, 1), (double_params, 2)):
+        problem = quantile._Problem.for_call(market, SPEC, CTRL)
+        bands = problem.bands(1.0)
         calls.clear()
-        problem.capital(thresholds)
-        assert calls == [2] * bands
+        problem.capital(bands)
+        assert calls == [2] * bounds
+
+
+def test_slice_coefficients_built_once_per_solve(params, double_params, monkeypatch):
+    # the gamma-free parts of log C_n come from one pair of
+    # log_kappa_sequence calls per solve, however many gammas it evaluates
+    kappa_calls, evaluations = [], []
+    real_kappa, real_bands = quantile.log_kappa_sequence, quantile._Problem.bands
+
+    def kappa_spy(*args):
+        kappa_calls[-1] += 1
+        return real_kappa(*args)
+
+    def bands_spy(self, gamma):
+        evaluations[-1] += 1
+        return real_bands(self, gamma)
+
+    monkeypatch.setattr(quantile, "log_kappa_sequence", kappa_spy)
+    monkeypatch.setattr(quantile._Problem, "bands", bands_spy)
+    for market in (params, double_params):
+        perfect = call_price(market, SPEC, CTRL).price
+        for solve in (
+            lambda: solve_budget_gamma(Budget(0.3 * perfect), market, SPEC, CTRL),
+            lambda: solve_budget_gamma(Budget(0.8 * perfect), market, SPEC, CTRL),
+            lambda: solve_dual(0.1, market, SPEC, CTRL),
+        ):
+            kappa_calls.append(0)
+            evaluations.append(0)
+            solve()
+    assert set(kappa_calls) == {2}
+    assert min(evaluations) > 2 and len(set(evaluations)) > 1
 
 
 def test_budget_solution_residual_and_monotonicity(params):
@@ -181,6 +210,26 @@ def test_budget_solution_residual_and_monotonicity(params):
         assert 0.0 < sol.success_probability < 1.0
         probs.append(sol.success_probability)
     assert probs[0] < probs[1] < probs[2]
+
+
+def test_zero_budget_success_set_is_the_out_of_the_money_event(asym_params):
+    # a budget of ~0 buys nothing: the success set shrinks to S(T) <= K,
+    # whose physical probability is 1 minus the in-the-money mass, the u_n
+    # of series_terms at y_n = ln(K/S0) - ln kappa_n, physical intensities
+    # and r = 0 (the terms past n ~ 30 vanish at T = 1)
+    from telegraph_market import mc
+    from telegraph_market.model import log_kappa_sequence
+    from telegraph_market.pricing import series_terms
+
+    p = asym_params
+    sol = solve_budget_gamma(Budget(1e-300), p, SPEC, CTRL)
+    y = math.log(SPEC.strike / p.s0) - log_kappa_sequence(60, p.sigma0, p.h_plus, p.h_minus)
+    in_the_money = series_terms(
+        y, SPEC.maturity, p.sigma0, p.c_plus, p.c_minus, (p.lambda_plus, p.lambda_minus, 0.0, 0.0)
+    ).sum()
+    assert sol.success_probability == pytest.approx(1.0 - in_the_money, abs=1e-7)
+    est = mc.mc_success_probability(p, sol, 200_000, seed=1)
+    assert abs(est.mean - sol.success_probability) <= 4.0 * est.std_error
 
 
 def test_budget_validation(params):
@@ -321,12 +370,17 @@ DOUBLE = ModelParams(
     ),
 )
 def test_threshold_roots_match_bisection_oracle(log10_gamma, alpha):
-    from telegraph_market.quantile import _log_slice_coeffs, _moneyness_roots
+    from telegraph_market.model import log_kappa_sequence
+    from telegraph_market.quantile import _moneyness_roots
 
     intens = martingale_intensities(DOUBLE)
     _, b = density_ratio_coeffs(DOUBLE, intens)
     s0, strike = DOUBLE.s0, 95.0
-    log_c = _log_slice_coeffs(40, 10.0**log10_gamma, DOUBLE, intens, -alpha, b, 1.0)
+    # log C_n = log gamma + log kappa*_n - a log kappa_n + bT with a = -alpha
+    sig = DOUBLE.sigma0
+    log_kap_star = log_kappa_sequence(40, sig, intens.h_star_plus, intens.h_star_minus)
+    log_kap = log_kappa_sequence(40, sig, DOUBLE.h_plus, DOUBLE.h_minus)
+    log_c = math.log(10.0**log10_gamma) + log_kap_star + alpha * log_kap + b * 1.0
     z1, z2 = _moneyness_roots(log_c, alpha, s0, strike)
     for n in range(41):
         c_n = math.exp(log_c[n])

@@ -13,7 +13,9 @@ and quartile spreads ((q3 - q1) / median) of both trees, the ratio of the
 medians (change / parent) and the number of pairs in which the change was
 better, with the machine's CPU count and the Python, numpy and scipy
 versions. After the pairs, one traced run per tree and workload records the
-per-layer metrics.
+per-layer metrics. When a run exits non-zero, the record so far is written
+with that run (tree, workload, seed, exit code, the tail of its stderr)
+under ``failed_run``, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -40,11 +42,20 @@ def run_args(workload: str, seed: int | str, trace: int | str) -> list[str]:
             "--seed", str(seed), "--trace", str(trace)]
 
 
+class RunFailed(Exception):
+    """A benchmark run exited non-zero; ``args[0]`` describes it."""
+
+
 def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     done = subprocess.run(
         [sys.executable, *run_args(workload, seed, trace)],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
+    if done.returncode != 0:
+        raise RunFailed({
+            "tree": str(tree), "workload": workload, "seed": seed, "trace": trace,
+            "exit_code": done.returncode, "stderr_tail": done.stderr[-2000:],
+        })
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -78,43 +89,48 @@ def main() -> None:
         "pairs": PAIRS,
         "workloads": {},
     }
-    for workload in WORKLOADS:
-        runs = []
-        for i in range(PAIRS):
-            seed = FIRST_SEED + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "order": list(order)}
-            for side in order:
-                tree = args.parent if side == "parent" else args.change
-                pair[side] = run_once(tree, workload, seed)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
-            runs.append(pair)
-        metrics = {}
-        for name, direction in better.items():
-            par = [r["parent"]["metrics"][name]["value"] for r in runs]
-            chg = [r["change"]["metrics"][name]["value"] for r in runs]
-            wins = sum((c < p) if direction == "lower" else (c > p)
-                       for p, c in zip(par, chg))
-            metrics[name] = {
-                "better": direction,
-                "parent": summary(par),
-                "change": summary(chg),
-                "ratio_of_medians": median(chg) / median(par),
-                "change_better_in_pairs": wins,
+    try:
+        for workload in WORKLOADS:
+            runs = []
+            record["workloads"][workload] = {"runs": runs}  # kept if a run fails
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "order": list(order)}
+                runs.append(pair)
+                for side in order:
+                    tree = args.parent if side == "parent" else args.change
+                    pair[side] = run_once(tree, workload, seed)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+            metrics = {}
+            for name, direction in better.items():
+                par = [r["parent"]["metrics"][name]["value"] for r in runs]
+                chg = [r["change"]["metrics"][name]["value"] for r in runs]
+                wins = sum((c < p) if direction == "lower" else (c > p)
+                           for p, c in zip(par, chg))
+                metrics[name] = {
+                    "better": direction,
+                    "parent": summary(par),
+                    "change": summary(chg),
+                    "ratio_of_medians": median(chg) / median(par),
+                    "change_better_in_pairs": wins,
+                }
+            traced = {side: run_once(tree, workload, FIRST_SEED, trace=1)["metrics"]
+                      for side, tree in (("parent", args.parent), ("change", args.change))}
+            record["workloads"][workload] = {
+                "correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+                "failed": {s: sorted({f"{r[s]['failed']}/{r[s]['attempted']}" for r in runs})
+                           for s in ("parent", "change")},
+                "metrics": metrics,
+                "traced": traced,
+                "runs": runs,
             }
-        traced = {side: run_once(tree, workload, FIRST_SEED, trace=1)["metrics"]
-                  for side, tree in (("parent", args.parent), ("change", args.change))}
-        record["workloads"][workload] = {
-            "correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
-            "failed": {s: sorted({f"{r[s]['failed']}/{r[s]['attempted']}" for r in runs})
-                       for s in ("parent", "change")},
-            "metrics": metrics,
-            "traced": traced,
-            "runs": runs,
-        }
+    except RunFailed as exc:
+        record["failed_run"] = exc.args[0]
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        sys.exit(f"run failed: {json.dumps(exc.args[0])}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-
 
 if __name__ == "__main__":
     main()
