@@ -178,9 +178,16 @@ def cmd_price(args: argparse.Namespace, out: io.TextIOBase) -> int:
     return 0
 
 
+def _check_count(option: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{option} must be nonnegative, got {value}")
+
+
 def cmd_simulate(args: argparse.Namespace, out: io.TextIOBase) -> int:
     params, _ = parse_config(_read(args.config))
     check_time("horizon", args.horizon)
+    _check_count("--paths", args.paths)
+    _check_count("--grid", args.grid)
     t_grid = np.linspace(0.0, args.horizon, args.grid + 1)
     names = ("X", "J", "S", "B")
     rows = []  # every path's columns, checked before the header is written
@@ -213,6 +220,7 @@ def cmd_density(args: argparse.Namespace, out: io.TextIOBase) -> int:
     )
     sigma = params.sigma0 if args.sigma is None else args.sigma
     check_time("t", args.t)
+    _check_count("--points", args.points)
     lo, hi = params.c_minus * args.t, params.c_plus * args.t
     x = np.linspace(lo, hi, args.points)
     val = density_total(x, args.t, sigma, dens)

@@ -106,22 +106,23 @@ def log_q_n(
     if np.any(n < 1):
         raise ValueError("q_n is defined for n >= 1; n = 0 is the caller's atom")
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.log(params.c_plus * t - x)  # log(c_+ t - x)
-        lb = np.log(x - params.c_minus * t)  # log(x - c_- t)
     l_own = math.log(params.lam(sigma))
     l_other = math.log(params.lam(-sigma))
     lo_half, hi_half = (n - 1) // 2, n // 2
     ea, eb = (lo_half, hi_half) if sigma == +1 else (hi_half, lo_half)
-    return (
-        (n + 1) // 2 * l_own
-        + n // 2 * l_other
-        - n * math.log(params.delta_c)
-        + _log_power(ea, la)
-        + _log_power(eb, lb)
-        - log_factorial(ea)
-        - log_factorial(eb)
-    )
+    # 0 * log 0 (a node on a ray) is NaN until _log_power replaces it by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = np.log(params.c_plus * t - x)  # log(c_+ t - x)
+        lb = np.log(x - params.c_minus * t)  # log(x - c_- t)
+        return (
+            (n + 1) // 2 * l_own
+            + n // 2 * l_other
+            - n * math.log(params.delta_c)
+            + _log_power(ea, la)
+            + _log_power(eb, lb)
+            - log_factorial(ea)
+            - log_factorial(eb)
+        )
 
 
 def q_n(
@@ -142,14 +143,14 @@ def q_n(
 def p_n_continuous(
     x: np.ndarray | float,
     t: float,
-    n: int,
+    n: np.ndarray | int,
     sigma: Regime,
     params: DensityParams,
 ) -> np.ndarray | float:
     """Continuous part of the n-switch density (n >= 1):
     exp((-lambda_s + nu c_s) t - nu x + log q_n) on the open support, in one
     exponent so that neither factor underflows where their product is a
-    float."""
+    float. Switch counts n broadcast against x as in ``log_q_n``."""
     x_arr = np.asarray(x, dtype=float)
     expo = (-params.lam(sigma) + params.nu * params.c(sigma)) * t - params.nu * x_arr
     expo = expo + log_q_n(x_arr, t, n, sigma, params)

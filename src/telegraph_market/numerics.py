@@ -1,4 +1,4 @@
-"""Shared numerical helpers: quadrature nodes, a bracketed root finder,
+"""Shared numerical helpers: a quadrature rule, a bracketed root finder,
 series tail bounds, log factorials and 2x2 matrix exponential row sums."""
 
 from __future__ import annotations
@@ -144,13 +144,6 @@ def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def gauss_legendre_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    x, w = gauss_legendre_rule(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
 
 
 def expm_2x2_row_sums(

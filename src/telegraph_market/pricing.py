@@ -35,11 +35,11 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
   tests compare the integrated terms with.
 
 The u and U series take their rates from ``series_rates``. Every
-switch-count series except the general branch of ``european_price_F``
-stops at the one rule of ``series_length``: the first n where weighted
-Poisson-type tail bounds fall below tail_epsilon; that branch stops once
-its last three envelope bounds are below tail_epsilon relative to the sum
-and not rising.
+switch-count series stops at the one rule of ``series_length``: the first
+n where weighted Poisson-type tail bounds fall below tail_epsilon. The
+payoff sum of ``european_price_F`` weights them by the largest discounted
+payoff on the slices it has evaluated, and evaluates more slices until
+the stop lies among them.
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ from .model import (
     linear_transform_coeffs,
     log_kappa_sequence,
 )
-from .numerics import (
-    gauss_legendre_nodes,
-    gauss_legendre_rule,
-    log_factorial,
-    poisson_tail_bounds,
-)
+from .numerics import gauss_legendre_rule, log_factorial, poisson_tail_bounds
 
 _HYP_MAX_TERMS = 500
 # points per slice of ``call_u_U``. Each series term makes temporaries of a
@@ -975,76 +970,78 @@ def european_price_F(
     risk-neutral expectation.
 
     The payoff must be continuous, piecewise smooth and polynomially
-    bounded; ``payoff_breaks`` lists terminal stock prices where the payoff
-    has kinks (e.g. the strike of a call) so the quadrature panels can be
-    split there.
-    """
+    bounded; ``payoff_breaks`` lists the positive terminal stock prices of
+    its kinks (e.g. a call's strike), where the quadrature panels split.
+    Slice n >= 1 integrates the discounted payoff against the n-switch law:
+    over ``p_n_continuous`` on Gauss-Legendre panels of ``quad_order``
+    nodes, split at the breaks mapped through kappa_n, or for c_+ = c_- as
+    the discounted full mass (``series_terms`` at velocities (1, 0), as in
+    ``call_price``) times the payoff. Slices are evaluated once each, in
+    ranges that grow until the stop of ``series_length`` lies inside them,
+    weighted by the envelope: the largest |discounted payoff| on the atom
+    and the slices so far (at least 1 for the first range). The stop
+    assumes no later slice exceeds it: a payoff that is zero on every slice
+    up to the first stop is priced from those slices. Raises
+    TruncationError when the stop exceeds the term budget."""
     check_regime(sigma)
     if not 0 <= t <= maturity:
         raise ValueError("t must lie in [0, maturity]")
     if x <= 0:
         raise ValueError("x must be positive")
+    if not all(sb > 0 for sb in payoff_breaks):
+        raise ValueError("payoff_breaks must be positive")
     s = maturity - t
     if s == 0:
         return float(payoff(x))
     intens = martingale_intensities(params)
     lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
-    lam_s = lsp if sigma == +1 else lsm
-    kap = np.exp(
-        log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
-    )
-    c_sig = params.c(sigma)
+    log_kap = log_kappa_sequence(controls.max_terms, sigma, params.h_plus, params.h_minus)
+    c_sig, equal_c = params.c(sigma), params.c_plus == params.c_minus
     pay = np.vectorize(payoff, otypes=[float])
-
-    if params.c_plus == params.c_minus:
-        # deterministic log-price drift: the value is a sum over the switch
-        # count of its discounted full masses times the payoff
-        n_used, _ = series_length(s, s, controls, (1.0, 0.0, max(lsp, lsm), 0.0))
-        masses = _rho_rows(
-            np.array([s]), n_used, sigma, lsp, lsm, params.r_plus, params.r_minus
-        )[:, 0]
-        return float(masses @ pay(x * math.exp(c_sig * s) * kap[: n_used + 1]))
-
-    a_r, b_r = linear_transform_coeffs(
-        params.c_plus, params.c_minus, params.r_plus, params.r_minus
-    )
-    dens = DensityParams(
-        c_plus=params.c_plus, c_minus=params.c_minus,
-        lambda_plus=lsp, lambda_minus=lsm,
-    )
-    lo, hi = params.c_minus * s, params.c_plus * s
-    acc = math.exp(-lam_s * s - a_r * c_sig * s) * float(payoff(x * math.exp(c_sig * s)))
-    lam_max = max(lsp, lsm)
-    lam_min = min(lsp, lsm)
-    prev_bounds: list[float] = []
-    for n in range(1, controls.max_terms + 1):
-        # split the panels at the payoff kinks mapped into log-return space
-        breaks = sorted(
-            math.log(sb / (x * kap[n]))
-            for sb in payoff_breaks
-            if lo < math.log(sb / (x * kap[n])) < hi
+    atom = float(payoff(x * math.exp(c_sig * s)))
+    if equal_c:  # every path's discount lies in [e^{-r_max s}, e^{-r_min s}]
+        scale = math.exp(-min(params.r_plus, params.r_minus) * s)
+        rows = lambda n: pay(x * np.exp(c_sig * s + log_kap[n]))  # noqa: E731
+    else:
+        a_r, b_r = linear_transform_coeffs(
+            params.c_plus, params.c_minus, params.r_plus, params.r_minus
         )
-        edges = [lo, *breaks, hi]
-        nodes_list, weights_list = zip(
-            *(
-                gauss_legendre_nodes(a_e, b_e, quad_order)
-                for a_e, b_e in zip(edges[:-1], edges[1:])
-            )
-        )
-        nodes = np.concatenate(nodes_list)
-        weights = np.concatenate(weights_list)
-        g = np.exp(-a_r * nodes) * pay(x * np.exp(nodes) * kap[n])
-        dens_row = p_n_continuous(nodes, s, n, sigma, dens)
-        acc += float(weights @ (g * dens_row))
-        # envelope bound: sup of the integrand factor times a Poisson mass bound
-        m_n = float(np.max(np.abs(g)))
-        bound = m_n * math.exp(-lam_min * s + n * math.log(lam_max * s) - math.lgamma(n + 1))
-        prev_bounds.append(bound)
-        recent = prev_bounds[-3:]
-        if (
-            len(recent) == 3
-            and all(bd < controls.tail_epsilon * max(1.0, abs(acc)) for bd in recent)
-            and recent[-1] <= recent[0]
-        ):
-            return math.exp(-b_r * s) * acc
-    raise TruncationError("payoff series exceeded the term budget")
+        scale, atom = math.exp(-b_r * s), atom * math.exp(-a_r * c_sig * s)
+        lo, hi = params.c_minus * s, params.c_plus * s
+        x_ref, w_ref = gauss_legendre_rule(quad_order)
+        log_breaks = np.sort(np.log(np.asarray(payoff_breaks, dtype=float) / x))
+
+        def panels(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """(n x panel x node) log-returns and weights; a break outside
+            the support is clipped to it, leaving an empty panel."""
+            inner = np.clip(log_breaks - log_kap[n][:, None], lo, hi)
+            edges = np.column_stack((np.full(n.size, lo), inner, np.full(n.size, hi)))
+            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None]
+            half = 0.5 * np.diff(edges, axis=1)[..., None]
+            return mid + half * x_ref, half * w_ref
+
+        def rows(n: np.ndarray) -> np.ndarray:
+            y = panels(n)[0]
+            return np.exp(-a_r * y) * pay(x * np.exp(y + log_kap[n][:, None, None]))
+
+    stop = lambda weight: series_length(  # noqa: E731
+        s, s, controls, (weight, min(lsp, lsm), max(lsp, lsm), 0.0)
+    )[0]
+    envelope, parts, n_next = scale * abs(atom), [], 1
+    n_stop = max(stop(max(envelope, 1.0)), 1)
+    while n_stop >= n_next:
+        parts.append(rows(np.arange(n_next, n_stop + 1)))
+        envelope = max(envelope, scale * float(np.max(np.abs(parts[-1]))))
+        n_next, n_stop = n_stop + 1, stop(envelope)
+    g = np.concatenate(parts)
+    if equal_c:
+        masses = series_terms(
+            np.full(n_next, -np.inf), s, sigma, 1.0, 0.0,
+            (lsp, lsm, params.r_plus, params.r_minus),
+        )[0]
+        return float(masses @ np.concatenate(([atom], g)))
+    n = np.arange(1, n_next)
+    y, w = panels(n)
+    dens = DensityParams(params.c_plus, params.c_minus, lsp, lsm)
+    body = np.einsum("npq,npq,npq->", w, g, p_n_continuous(y, s, n[:, None, None], sigma, dens))
+    return scale * (math.exp(-dens.lam(sigma) * s) * atom + float(body))

@@ -41,7 +41,7 @@ from telegraph_market.model import (
     log_kappa_sequence,
     path_state,
 )
-from telegraph_market.numerics import gauss_legendre_nodes
+from telegraph_market.numerics import gauss_legendre_rule
 from telegraph_market import pricing
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 
@@ -279,6 +279,13 @@ def strategy_profit(
     if holding:
         return (math.exp(x) - math.exp(entry_x)) * params.s0
     return 0.0
+
+
+def gauss_legendre_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights mapped to [a, b]."""
+    x, w = gauss_legendre_rule(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
 
 
 def mgf_series(

@@ -359,6 +359,33 @@ def test_simulate_overflow_exit_code(cfg, capsys):
     assert captured.err == "numerical failure: column S of path 0 is not finite\n"
 
 
+@pytest.mark.parametrize("command, option", [
+    (["simulate", "--horizon", "1.0", "--seed", "0", "--paths", "1", "--grid", "-1"], "--grid"),
+    (["simulate", "--horizon", "1.0", "--seed", "0", "--paths", "-1", "--grid", "2"], "--paths"),
+    (["density", "--t", "1.0", "--points", "-1"], "--points"),
+])
+def test_negative_count_exit_code(cfg, capsys, command, option):
+    # a negative count is refused by its option's name before any output
+    code = main([*command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["simulate", "--horizon", "1.0", "--seed", "0", "--paths", "2", "--grid", "0"], 3),
+    (["simulate", "--horizon", "1.0", "--seed", "0", "--paths", "0", "--grid", "2"], 1),
+    (["density", "--t", "1.0", "--points", "0"], 2),
+])
+def test_zero_count_output(cfg, capsys, command, lines):
+    # a zero count is valid: one grid row per path, no paths, or no density
+    # points (the header and the atom line)
+    code, out = _run([*command, "--config", cfg], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+
+
 def test_failed_run_keeps_out_file(cfg, tmp_path, capsys):
     # --out is written only when the run succeeds: a successful run writes
     # the bytes it prints to standard output, and a run that exits 3 leaves

@@ -6,12 +6,13 @@ from scipy.linalg import expm
 
 from telegraph_market.numerics import (
     expm_2x2_row_sums,
-    gauss_legendre_nodes,
     gauss_legendre_rule,
     geometric_root,
     log_factorial,
     poisson_tail_bounds,
 )
+
+from oracles import gauss_legendre_nodes
 
 
 def test_gauss_legendre_rule_cached_and_read_only():

@@ -853,12 +853,59 @@ def test_european_price_F_matches_series_call(asym_params):
     assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_european_price_F_equal_velocities():
-    # c_+ = c_-: the log-price drift is deterministic and the value is one
-    # sum of discounted full masses times payoff values (lambda* = 3 in both
-    # regimes), with equal and with distinct rates
+def test_european_price_F_payoff_breaks_must_be_positive(asym_params):
+    with pytest.raises(ValueError, match="payoff_breaks"):
+        european_price_F(
+            0.0, asym_params.s0, asym_params.sigma0, lambda s: s, 1.0,
+            asym_params, CTRL, payoff_breaks=(100.0, 0.0),
+        )
+
+
+def test_european_price_F_deep_out_of_the_money(asym_params):
+    # the payoff is 0 on the first slices (the strike lies past their
+    # support), which must not end the sum; their empty panels put nodes on
+    # the rays, where no RuntimeWarning may be raised
+    spec = CallSpec(strike=150.0, maturity=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call = european_price_F(
+            0.0, asym_params.s0, +1, lambda s: max(s - spec.strike, 0.0),
+            spec.maturity, asym_params, CTRL, payoff_breaks=(spec.strike,),
+        )
+    assert call > 0.0
+    assert abs(call - call_price(asym_params, spec, CTRL).price) <= 1e-11
+    # contracting market from the slow regime: the put is 0 on the first
+    # slices; C - P = S0 - K E*[e^{-int r}], the bond (e^{T(Q* - R)} 1)_-
     from telegraph_market.numerics import expm_2x2_row_sums
 
+    params = replace(asym_params, h_plus=-0.3, h_minus=0.2, sigma0=-1)
+    spec = CallSpec(strike=60.0, maturity=1.0)
+    intens = martingale_intensities(params)
+    lsp, lsm = intens.lambda_star_plus, intens.lambda_star_minus
+    _, bond = expm_2x2_row_sums(
+        -lsp - params.r_plus, lsp, lsm, -lsm - params.r_minus, spec.maturity
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        put = european_price_F(
+            0.0, params.s0, -1, lambda s: max(spec.strike - s, 0.0),
+            spec.maturity, params, CTRL, payoff_breaks=(spec.strike,),
+        )
+    parity = call_price(params, spec, CTRL).price - params.s0 + spec.strike * bond
+    assert put > 0.0
+    assert abs(put - parity) <= 1e-11
+
+
+def test_european_price_F_equal_velocities(monkeypatch):
+    # c_+ = c_-: the log-price drift is deterministic and the value is one
+    # sum of discounted full masses from series_terms (not the transport
+    # route's _rho_rows) times payoff values (lambda* = 3 in both regimes),
+    # with equal and with distinct rates
+    from telegraph_market.numerics import expm_2x2_row_sums
+
+    calls = []
+    real = pricing._rho_rows
+    monkeypatch.setattr(pricing, "_rho_rows", lambda *a: calls.append(a) or real(*a))
     equal_r = ModelParams(
         c_plus=-0.1, c_minus=-0.1, lambda_plus=2.0, lambda_minus=1.5,
         h_plus=0.05, h_minus=0.05, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=+1,
@@ -874,10 +921,9 @@ def test_european_price_F_equal_velocities():
                     lambda s: max(s - strike, 0.0), maturity, params, CTRL,
                 )
                 assert type(call) is float
+                assert not calls
                 ref = call_price(params, CallSpec(strike, maturity), CTRL).price
-                # the branch stops on the bare mass tail, without the payoff's
-                # size (~S0): it leaves up to 8.2e-12 of the sum here
-                assert call == pytest.approx(ref, rel=1e-11, abs=1e-13 * params.s0)
+                assert call == pytest.approx(ref, rel=0, abs=CTRL.tail_epsilon)
             # the zero-coupon bond E*[e^{-int r}] = (e^{T(Q* - R)} 1)_+
             bond, _ = expm_2x2_row_sums(
                 -lsp - params.r_plus, lsp, lsm, -lsm - params.r_minus, maturity
