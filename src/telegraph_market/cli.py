@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -235,13 +236,17 @@ def cmd_density(args: argparse.Namespace, out: io.TextIOBase) -> int:
 def cmd_hedge(args: argparse.Namespace, out: io.TextIOBase) -> int:
     params, controls = parse_config(_read(args.config))
     spec = CallSpec(strike=args.strike, maturity=args.maturity)
+    # the t = 0 price first: a series that cannot be summed fails before
+    # any path is drawn
+    capital = call_price(params, spec, controls).price
     pricer = make_call_pricer(params, spec, controls)
     paths = [
         sample_path(params, args.maturity, args.seed, pid)
         for pid in range(args.paths)
     ]
     stats = replication_backtest(
-        paths, spec, params, args.grid, pricer_f=pricer, controls=controls
+        paths, spec, params, args.grid, pricer_f=pricer,
+        initial_capital=capital, controls=controls,
     )
     _emit_json(
         {
@@ -287,9 +292,18 @@ def cmd_quantile(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 
 def cmd_limit_check(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    errors = mc.limit_scaling_check(
-        args.vc, args.va, args.mu, args.levels, args.z, args.t
-    )
+    for name, value in (("v_c", args.vc), ("v_a", args.va)):
+        if math.isfinite(value) and not math.isfinite(value * value):
+            raise TruncationError(f"{name} = {value!r}: the limit variance {name}^2 overflows")
+    try:
+        errors = mc.limit_scaling_check(
+            args.vc, args.va, args.mu, args.levels, args.z, args.t
+        )
+    except OverflowError as exc:
+        raise TruncationError(
+            f"limit-check overflowed ({exc}): the jump factor e^(v_a / sqrt(level)) "
+            "and the Gaussian limit e^(mu z t + v^2 z^2 t / 2) must stay in the float range"
+        ) from exc
     report = [
         {
             "level": int(level),

@@ -4,6 +4,10 @@ The hedge ratio compares the option value just before and just after a
 hypothetical regime switch; between switches the market is deterministic,
 so a self-financing portfolio rebalanced on a grid augmented with the exact
 switch times replicates the claim up to grid-placement error only.
+
+A call pricer from ``make_call_pricer`` prices both states of a hedge ratio
+in one transport pass (``pricing.call_value_and_jump``); any other pricer
+F(t, x, sigma) is called once for each state.
 """
 
 from __future__ import annotations
@@ -13,25 +17,47 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measure import martingale_intensities
-from .model import ModelParams, Regime, RegimePath, check_regime, path_state
-from .pricing import CallSpec, SeriesControls, call_price, call_value_surface
+from .measure import MartingaleIntensities, martingale_intensities
+from .model import ModelParams, PathState, Regime, RegimePath, check_regime, switch_state
+from .pricing import (
+    CallSpec,
+    SeriesControls,
+    call_price,
+    call_value_and_jump,
+    call_value_surface,
+)
 
 PricerF = Callable[..., np.ndarray | float]
+
+
+@dataclass(frozen=True)
+class CallPricer:
+    """Vectorized call value F(t, x, sigma), bound to one parameter set."""
+
+    params: ModelParams
+    spec: CallSpec
+    controls: SeriesControls
+    intens: MartingaleIntensities
+
+    def __call__(self, t, x, sigma):
+        return call_value_surface(
+            t, x, sigma, self.params, self.spec, self.controls, self.intens
+        )
+
+    def value_and_jump(self, t, x, sigma):
+        """(F(t, x, sigma), F(t, x (1 + h_sigma), -sigma)) in one pass."""
+        return call_value_and_jump(
+            t, x, sigma, self.params, self.spec, self.controls, self.intens
+        )
 
 
 def make_call_pricer(
     params: ModelParams,
     spec: CallSpec,
     controls: SeriesControls = SeriesControls(),
-) -> PricerF:
+) -> CallPricer:
     """Vectorized F(t, x, sigma) for a call, bound to one parameter set."""
-    intens = martingale_intensities(params)
-
-    def pricer(t, x, sigma):
-        return call_value_surface(t, x, sigma, params, spec, controls, intens)
-
-    return pricer
+    return CallPricer(params, spec, controls, martingale_intensities(params))
 
 
 def hedge_ratio(
@@ -41,14 +67,22 @@ def hedge_ratio(
     pricer_f: PricerF,
     params: ModelParams,
 ) -> np.ndarray | float:
-    """Stock position phi = [F(t, S(1+h), -sigma) - F(t, S, sigma)] / (S h)."""
+    """Stock position phi = [F(t, S(1+h), -sigma) - F(t, S, sigma)] / (S h).
+
+    Takes both values from one ``value_and_jump`` call where the pricer
+    has that method, and from two calls of F otherwise.
+    """
     check_regime(sigma)
     h = params.h(sigma)
     if h == 0.0:
         raise ValueError("hedge ratio undefined for zero jump size")
     s_arr = np.asarray(s, dtype=float)
-    num = pricer_f(t, s_arr * (1.0 + h), -sigma) - pricer_f(t, s_arr, sigma)
-    out = num / (s_arr * h)
+    both = getattr(pricer_f, "value_and_jump", None)
+    if both is None:
+        after, before = pricer_f(t, s_arr * (1.0 + h), -sigma), pricer_f(t, s_arr, sigma)
+    else:
+        before, after = both(t, s_arr, sigma)
+    out = (after - before) / (s_arr * h)
     return float(out) if np.ndim(s) == 0 and np.ndim(t) == 0 else out
 
 
@@ -111,6 +145,49 @@ class ReplicationStats:
     admissible: bool
 
 
+def _path_grids(
+    paths: Sequence[RegimePath], uniform: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rebalancing times, one row per path, and their count in each row: a
+    row holds the distinct times of the uniform grid and the path's switch
+    times up to the grid's end, ascending, then repeats the end."""
+    end = uniform[-1]
+    counts = np.array([len(path.switch_times) for path in paths])
+    merged = np.full((len(paths), uniform.size + counts.max()), np.inf)
+    merged[:, : uniform.size] = uniform
+    taus = merged[:, uniform.size :]
+    taus[np.arange(taus.shape[1]) < counts[:, None]] = [
+        tau for path in paths for tau in path.switch_times
+    ]
+    merged.sort(axis=1)
+    keep = merged <= end
+    keep[:, 1:] &= merged[:, 1:] != merged[:, :-1]
+    sizes = np.count_nonzero(keep, axis=1)
+    grid = np.full((len(paths), sizes.max()), end)
+    grid[np.arange(grid.shape[1]) < sizes[:, None]] = merged[keep]
+    return grid, sizes
+
+
+def _path_states(
+    paths: Sequence[RegimePath], grid: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regime and stock price of each path at its row of ``grid``. The paths
+    of one starting regime and switch count share one ``switch_state``
+    call, which makes the same operations on each row as ``path_state``
+    makes on one path."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault((path.sigma0, len(path.switch_times)), []).append(i)
+    sig = np.empty(grid.shape, dtype=np.int8)
+    stock = np.empty(grid.shape)
+    for (sigma0, _), rows in groups.items():
+        taus = np.array([paths[i].switch_times for i in rows], dtype=float)
+        times = grid[rows]
+        state = PathState(sigma0, times, *switch_state(taus.T[:, :, None], times))
+        sig[rows], stock[rows] = state.regime(), state.stock(params)
+    return sig, stock
+
+
 def replication_backtest(
     paths: Sequence[RegimePath],
     spec: CallSpec,
@@ -132,6 +209,10 @@ def replication_backtest(
     the same uniform-grid states (n = 0, occupation t), bit for bit. That
     shared prefix is priced once, on the path of each starting regime with
     the longest prefix, and the other paths read their positions there.
+
+    Grids, path states and capital are (paths x grid) arrays
+    (``_path_grids``). The steps past a path's maturity have zero length
+    and change no capital.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -143,57 +224,49 @@ def replication_backtest(
         payoff = lambda s: np.maximum(s - spec.strike, 0.0)  # noqa: E731
     if initial_capital is None:
         initial_capital = call_price(params, spec, controls).price
-    maturity = spec.maturity
-    uniform = np.linspace(0.0, maturity, n_steps + 1)
+    if any(path.horizon < spec.maturity for path in paths):
+        raise ValueError("path horizon shorter than the claim maturity")
+    grid, sizes = _path_grids(paths, np.linspace(0.0, spec.maturity, n_steps + 1))
+    sig, stock = _path_states(paths, grid, params)
 
-    # assemble per-path grids and states, then batch the hedge-ratio calls
-    grids, states, prefix, lead = [], [], [], {}
-    for i, path in enumerate(paths):
-        if path.horizon < maturity:
-            raise ValueError("path horizon shorter than the claim maturity")
-        times = np.unique(np.concatenate((uniform, np.asarray(path.switch_times))))
-        times = times[times <= maturity]
-        st = path_state(path, times)
-        sig = st.regime()
-        r_t = np.where(sig == 1, params.r_plus, params.r_minus)
-        grids.append(times)
-        states.append((sig, st.stock(params), r_t))
-        first = path.switch_times[0] if path.switch_times else maturity
-        prefix.append(min(int(np.searchsorted(times, first)), times.size - 1))
-        if prefix[lead.setdefault(path.sigma0, i)] < prefix[i]:
-            lead[path.sigma0] = i
+    # the no-switch prefix ends at the first switch or the last grid time
+    first = np.array([p.switch_times[0] if p.switch_times else np.inf for p in paths])
+    prefix = np.minimum(np.count_nonzero(grid < first[:, None], axis=1), sizes - 1)
+    sigma0 = np.array([path.sigma0 for path in paths])
+    lead = np.empty(len(paths), dtype=int)
+    for s0 in (+1, -1):
+        own = np.flatnonzero(sigma0 == s0)
+        if own.size:
+            lead[own] = own[np.argmax(prefix[own])]
     # every path but its regime's lead drops its prefix from the priced points
-    skip = [0 if lead[p.sigma0] == i else prefix[i] for i, p in enumerate(paths)]
-
-    offsets = np.cumsum([0] + [g.size - 1 - k for g, k in zip(grids, skip)])
-    t_all = np.concatenate([g[k:-1] for g, k in zip(grids, skip)])
-    sig_all = np.concatenate([st[0][k:-1] for st, k in zip(states, skip)])
-    s_all = np.concatenate([st[1][k:-1] for st, k in zip(states, skip)])
-    phi_all = np.empty_like(s_all)
+    cols = np.arange(grid.shape[1] - 1)
+    shared = cols < np.where(lead == np.arange(len(paths)), 0, prefix)[:, None]
+    priced = ~shared & (cols < sizes[:, None] - 1)
+    phi = np.zeros(priced.shape)
     for sg in (+1, -1):
-        mask = sig_all == sg
+        mask = priced & (sig[:, :-1] == sg)
         if np.any(mask):
-            phi_all[mask] = hedge_ratio(
-                t_all[mask], s_all[mask], sg, pricer_f, params
+            phi[mask] = hedge_ratio(
+                grid[:, :-1][mask], stock[:, :-1][mask], sg, pricer_f, params
             )
+    np.copyto(phi, phi[lead], where=shared)
 
-    errors = np.empty(len(paths))
-    min_capital = np.inf
-    for i, (times, (sig, s_t, r_t)) in enumerate(zip(grids, states)):
-        start = offsets[lead[paths[i].sigma0]]
-        phi = np.concatenate(
-            (phi_all[start : start + skip[i]], phi_all[offsets[i] : offsets[i + 1]])
-        )
-        dt_seg = np.diff(times)
-        growth = np.exp(r_t[:-1] * dt_seg)
-        gain = phi * (s_t[1:] - s_t[:-1] * growth)
-        # capital follows F_{j+1} = g_j F_j + gain_j; solve by cumulative products
-        cum_g = np.concatenate(([1.0], np.cumprod(growth)))
-        capital = cum_g * (initial_capital + np.cumsum(
-            np.concatenate(([0.0], gain / cum_g[1:]))
-        ))
-        errors[i] = capital[-1] - float(payoff(np.asarray(s_t[-1])))
-        min_capital = min(min_capital, float(np.min(capital)))
+    # capital follows F_{j+1} = g_j F_j + gain_j; solve by cumulative products
+    growth = np.diff(grid, axis=1)
+    growth *= np.where(sig[:, :-1] == 1, params.r_plus, params.r_minus)
+    np.exp(growth, out=growth)
+    gain = stock[:, :-1] * growth
+    np.subtract(stock[:, 1:], gain, out=gain)
+    gain *= phi
+    cum_g = np.cumprod(growth, axis=1)
+    gain /= cum_g
+    capital = np.empty(grid.shape)
+    capital[:, 0] = 0.0
+    np.cumsum(gain, axis=1, out=capital[:, 1:])
+    capital += initial_capital
+    capital[:, 1:] *= cum_g
+    errors = capital[:, -1] - payoff(stock[:, -1])
+    min_capital = float(np.min(capital))
     abs_err = np.abs(errors)
     return ReplicationStats(
         initial_capital=initial_capital,

@@ -23,13 +23,17 @@ density above the kappa-shifted log-strike. Two routes compute the terms:
   is the full mass rho_n(t), which depends on t alone, so the below-ray
   part of a sum is read from a cumulative table over the distinct t of the
   whole call (the backtest's grid times repeat across paths), one for each
-  of u and U. Only the wedge between the rays evaluates ``v_n``. On the
-  benchmark's hedge inputs (one round, 288 390 points) 86.8% of the
-  (point, n) pairs lie below, 12.3% in the wedge and 0.9% above. The
-  wedge stays on the transport kernels: its 0.81M pairs at 48
-  Gauss-Legendre nodes would be 39M density evaluations for each of u and
-  U, about 2.6 s each at 67 ns per node, while the kernels take 0.12 s for
-  both (2 vCPU).
+  of u and U. Only the wedge between the rays evaluates ``v_n``. A hedge
+  ratio needs the surface at a state and at its post-jump state
+  (x (1 + h_sigma), -sigma), whose n-term sits at the points of the
+  state's (n + 1)-term: ``call_value_and_jump`` sums both in one
+  ``call_u_U`` pass, with one stop, one split and one kernel table per n
+  for both states. On the benchmark's hedge inputs (one round, 155 036
+  points, both states counted) 89.9% of the (point, n) pairs lie below,
+  8.5% in the wedge and 1.6% above. The wedge stays on the transport
+  kernels: its 0.30M pairs at 48 Gauss-Legendre nodes would be 14.6M
+  density evaluations for each of u and U, about 0.9 s each at 60 ns per
+  node, while the kernels take 0.018 s for all four sums (2 vCPU).
 - ``u_n`` gives single terms through the same region split (U_n is u_n
   at the tilted intensities, r = 0); it is the per-term reference the
   tests compare the integrated terms with.
@@ -318,34 +322,11 @@ def v_n(
     return float(out[0]) if scalar else out.reshape(p_arr.shape)
 
 
-def _scaled_v_n(
-    p: np.ndarray,
-    q: np.ndarray,
-    n: int,
-    sigma: Regime,
-    a_bar: float,
-    log_lam: float = 0.0,
-    rate_q: float = 0.0,
-    rate_p: float = 0.0,
-) -> np.ndarray:
-    """e^{log_lam - rate_q q - rate_p p} v_n(p, q) on 1-d arrays p, q >= 0.
-
-    v_n = P_n^{(sigma)}(p) + sum_k (q^k / k!) phi_k(p), with phi_{k,m} for
-    odd n = 2m + 1, phi_{k+1,m} (k < m) for sigma = -1 and phi_{k-1,m-1} for
-    sigma = +1 at n = 2m; P_n^{(+)} = P_n^{(-)} - a_bar P_{n+1}^{(-)} at
-    even n. Every term is a q-weight times a coefficient times one row of
-    a single ``_kernel_table``, so the sum is one (terms x orders) matrix
-    product. v_n is homogeneous of degree n in (p, q, 1 / a_bar), so with
-    lam = e^{log_lam / n} the weights are (lam q)^k / k! e^{-rate_q q}, the
-    rows lam^o P_o(p) e^{-rate_p p} and the coefficients taken at
-    a_bar / lam: none of the three overflows where e^{log_lam} alone would.
-    """
-    if n == 0:
-        if sigma == -1:
-            return np.zeros(p.size)
-        return np.exp(log_lam - rate_q * q - (rate_p + a_bar) * p)
-    log_hat = log_lam / n
-    a_hat = a_bar * math.exp(-log_hat)
+def _v_coef(n: int, sigma: Regime, a_bar: float) -> tuple[np.ndarray, int]:
+    """Coefficients of v_n^{(sigma)}, n >= 1, over the kernel orders 0..top
+    (one column per order), and the lowest order lo in use: row 0 holds
+    P_n^{(sigma)}, row k >= 1 the kernel that ``_scaled_v_n`` weights by
+    q^k / k!."""
     m = n // 2
     if n % 2 == 1:
         ks, m_phi = np.arange(1, m + 1), m
@@ -357,22 +338,77 @@ def _scaled_v_n(
     coef = np.zeros((ks.size + 1, top + 1))
     coef[0, n] = 1.0
     if top > n:
-        coef[0, top] = -a_hat
-    _fill_phi(coef[1:], ks, m_phi, a_hat)
-    lo = m if n % 2 == 0 and sigma == +1 else m + 1  # lowest order in use
-    coef = coef[:, lo : top + 1]
+        coef[0, top] = -a_bar
+    _fill_phi(coef[1:], ks, m_phi, a_bar)
+    return coef, m if n % 2 == 0 and sigma == +1 else m + 1
+
+
+def _scaled_v_n(
+    p: np.ndarray,
+    q: np.ndarray,
+    n: int,
+    sigma: Regime,
+    a_bar: float,
+    log_lam: float = 0.0,
+    rate_q: float = 0.0,
+    rate_p: float = 0.0,
+    log_lam_jump: float | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """e^{log_lam - rate_q q - rate_p p} v_n(p, q) on 1-d arrays p, q >= 0.
+
+    v_n = P_n^{(sigma)}(p) + sum_k (q^k / k!) phi_k(p), with phi_{k,m} for
+    odd n = 2m + 1, phi_{k+1,m} (k < m) for sigma = -1 and phi_{k-1,m-1} for
+    sigma = +1 at n = 2m; P_n^{(+)} = P_n^{(-)} - a_bar P_{n+1}^{(-)} at
+    even n. Every term is a q-weight times a coefficient times one row of
+    a single ``_kernel_table``, so the sum is one (terms x orders) matrix
+    product. v_n is homogeneous of degree n in (p, q, 1 / a_bar), so with
+    lam = e^{log_lam / n} the weights are (lam q)^k / k! e^{-rate_q q}, the
+    rows lam^o P_o(p) e^{-rate_p p} and the coefficients taken at
+    a_bar / lam: none of the three overflows where e^{log_lam} alone would.
+
+    With ``log_lam_jump`` (n >= 1) it also returns
+    e^{log_lam_jump - rate_q q - rate_p p} v_{n-1}^{(-sigma)}(p, q) from the
+    same table, by the transport identities: v_{n-1}^{(-)} = d_q v_n^{(+)}
+    is the sum of the same matrix product's rows with the q-weights moved
+    down one place, and v_{n-1}^{(+)} = d_p v_n^{(-)} a second coefficient
+    matrix over the table, which takes one more row at the low end. Both
+    are homogeneous of degree n - 1 at the same lam, so the second sum is
+    scaled by e^{log_lam_jump - (n - 1) log lam}.
+    """
+    if n == 0:
+        if sigma == -1:
+            return np.zeros(p.size)
+        return np.exp(log_lam - rate_q * q - (rate_p + a_bar) * p)
+    log_hat = log_lam / n
+    a_hat = a_bar * math.exp(-log_hat)
+    coef, lo = _v_coef(n, sigma, a_hat)
+    top, terms = coef.shape[1] - 1, coef.shape[0]
+    if log_lam_jump is not None and sigma == -1 and n > 1:
+        jump_coef, lo = _v_coef(n - 1, +1, a_hat)  # as many rows, lo one less
+        pad = top + 1 - jump_coef.shape[1]
+        coef = np.concatenate((coef, np.pad(jump_coef, ((0, 0), (0, pad)))))
     table = _kernel_table(
         p, top, a_bar, np.arange(lo, top + 1) * log_hat, -rate_p * p, n_min=lo
     )
-    k = np.arange(1, ks.size + 1)
-    weights = np.empty((k.size + 1, q.size))
+    k = np.arange(1, terms)
+    weights = np.empty((terms, q.size))
     weights[0] = -rate_q * q
     with np.errstate(divide="ignore"):
         np.multiply(k[:, None], log_hat + np.log(q), out=weights[1:])
     weights[1:] -= log_factorial(k)[:, None]
     weights[1:] += weights[0]
     np.exp(weights, out=weights)
-    return np.einsum("kp,kp->p", weights, coef @ table)
+    rows = coef[:, lo:] @ table
+    value = np.einsum("kp,kp->p", weights, rows[:terms])
+    if log_lam_jump is None:
+        return value
+    if n == 1:  # v_0, with no kernel table
+        return value, _scaled_v_n(p, q, 0, -sigma, a_bar, log_lam_jump, rate_q, rate_p)
+    if sigma == +1:
+        jump = np.einsum("kp,kp->p", weights[:-1], rows[1:])
+    else:
+        jump = np.einsum("kp,kp->p", weights, rows[terms:])
+    return value, jump * math.exp(log_lam_jump - (n - 1) * log_hat)
 
 
 def _log_lambda_n(
@@ -452,14 +488,17 @@ def _wedge_term(
     lam_m: float,
     r_p: float,
     r_m: float,
-) -> np.ndarray:
+    jump: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """u_n at wedge points (p, q): Lambda_n e^{-(lam_+ + r_+) q
-    - (lam_- + r_-) p} v_n(p, q)."""
+    - (lam_- + r_-) p} v_n(p, q); with ``jump`` (n >= 1) also the
+    (n - 1)-term of the regime -sigma at the same points."""
     if p.size == 0:
-        return np.empty(0)
+        return (np.empty(0), np.empty(0)) if jump else np.empty(0)
     return _scaled_v_n(
         p, q, n, sigma, (lam_p + r_p) - (lam_m + r_m),
         _log_lambda_n(n, sigma, lam_p, lam_m), lam_p + r_p, lam_m + r_m,
+        _log_lambda_n(n - 1, -sigma, lam_p, lam_m) if jump else None,
     )
 
 
@@ -662,7 +701,8 @@ def call_u_U(
     controls: SeriesControls,
     weight_u: float,
     weight_U: float,
-) -> tuple[np.ndarray | float, np.ndarray | float]:
+    jump: bool = False,
+) -> tuple[np.ndarray | float, ...]:
     """Sums (u, U) of the u and U series at kappa-shifted arguments y - b_n,
     by the transport route on arrays of points.
 
@@ -675,6 +715,16 @@ def call_u_U(
     time: one split (``_split``) serves u and U, and only the wedge points
     evaluate the transport kernel, one ``_kernel_table`` per n. Raises
     TruncationError when a sum is not finite.
+
+    With ``jump`` the same pass also returns the sums of the post-jump
+    state (y - ln(1 + h_sigma), t, -sigma), as (u, U, u', U'); the weights
+    must then cover both states. Its arguments y - ln(1 + h_sigma) -
+    b_n^{(-sigma)} are y - b_{n+1}: its n-term sits at the points of the
+    (n + 1)-term, so one split runs over b_0..b_{N+1}, and each wedge term
+    shares its kernel table with the post-jump term one below it
+    (``_scaled_v_n``). The post-jump state has its own full-mass tables.
+    Each state's cumulative table adds nothing at the shift it lacks (b_{N+1}
+    before the jump, b_0 after it), so both read it at the same count.
     """
     check_regime(sigma)
     y_arr, t_arr = np.broadcast_arrays(
@@ -687,36 +737,48 @@ def call_u_U(
         float(np.min(t_flat)), float(np.max(t_flat)), controls,
         *_call_series(params, intens, weight_u, weight_U),
     )
-    b = log_kappa_sequence(n_used, sigma, params.h_plus, params.h_minus)
+    b = log_kappa_sequence(n_used + jump, sigma, params.h_plus, params.h_minus)
     order = np.argsort(-b, kind="stable")
     times, t_pos = np.unique(t_flat, return_inverse=True)
     rates = series_rates(params, intens)
     cums = []
-    for rows in (_rho_rows(times, n_used, sigma, *r) for r in rates):
-        # cum[i] sums the rows of the first i shifts in ``order``
-        cum = np.zeros((n_used + 2, times.size))
-        for i, n in enumerate(order):  # np.cumsum along axis 0 is strided
-            np.add(cum[i], rows[n], out=cum[i + 1])
-        cums.append(cum)
-    sums = np.empty((2, t_flat.size))
+    # each state's regime and the shift of its 0-term
+    for sg, first in ((sigma, 0), (-sigma, 1))[: 1 + jump]:
+        for rows in (_rho_rows(times, n_used, sg, *r) for r in rates):
+            # cum[i] sums the rows of the first i shifts in ``order``
+            cum = np.zeros((b.size + 1, times.size))
+            for i, j in enumerate(order):  # np.cumsum along axis 0 is strided
+                if first <= j <= first + n_used:
+                    np.add(cum[i], rows[j - first], out=cum[i + 1])
+                else:
+                    cum[i + 1] = cum[i]
+            cums.append(cum)
+    sums = np.empty((len(cums), t_flat.size))
     for lo in range(0, t_flat.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         split = _split(
             y_flat[part], t_flat[part], b, order, params.c_plus, params.c_minus
         )
-        wedge_n = [n for n, w in enumerate(split.wedge) if w.size]
-        for total, cum, r in zip(sums[:, part], cums, rates):
+        block = sums[:, part]
+        for total, cum in zip(block, cums):
             total[:] = cum[split.below, t_pos[part]]
-            for n in wedge_n:
-                total[split.wedge[n]] += _wedge_term(
-                    split.p[n], split.q[n], n, sigma, *r
-                )
+        for n, w in enumerate(split.wedge):
+            if not w.size:
+                continue
+            for i, r in enumerate(rates):
+                if not (jump and n):  # the post-jump state has no term here
+                    block[i, w] += _wedge_term(split.p[n], split.q[n], n, sigma, *r)
+                    continue
+                before, after = _wedge_term(split.p[n], split.q[n], n, sigma, *r, jump=True)
+                if n <= n_used:
+                    block[i, w] += before
+                block[2 + i, w] += after
     if not np.isfinite(sums).all():
         raise TruncationError(f"transport series overflowed within {n_used + 1} terms")
-    u_sum, U_sum = sums.reshape(2, *y_arr.shape)
+    sums = sums.reshape(len(sums), *y_arr.shape)
     if y_arr.ndim == 0:
-        return float(u_sum), float(U_sum)
-    return u_sum, U_sum
+        return tuple(float(s) for s in sums)
+    return tuple(sums)
 
 
 def call_price(
@@ -789,6 +851,55 @@ def call_price(
     )
 
 
+def _call_values(
+    t: np.ndarray | float,
+    x: np.ndarray | float,
+    sigma: Regime,
+    params: ModelParams,
+    spec: CallSpec,
+    controls: SeriesControls,
+    intens: MartingaleIntensities | None,
+    jump: bool,
+) -> np.ndarray:
+    """F(t, x, sigma) and, with ``jump``, F(t, x (1 + h_sigma), -sigma),
+    stacked on a leading axis. The expired points (t = maturity) take the
+    payoff; every other point goes to one ``call_u_U`` call, with the U
+    tail weighted by the largest price of either state."""
+    if intens is None:
+        intens = martingale_intensities(params)
+    t_arr, x_arr = np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    )
+    if np.any(t_arr > spec.maturity) or np.any(t_arr < 0):
+        raise ValueError("t must lie in [0, maturity]")
+    if np.any(x_arr <= 0):
+        raise ValueError("stock prices must be positive")
+    x_flat = x_arr.ravel()
+    prices = [x_flat, x_flat * (1.0 + params.h(sigma))][: 1 + jump]
+    s = (spec.maturity - t_arr).ravel()
+    out = np.empty((len(prices), s.size))
+    expired = s <= 0
+    for values, xs in zip(out, prices):
+        values[expired] = np.maximum(xs[expired] - spec.strike, 0.0)
+    live = np.flatnonzero(~expired)
+    if live.size:
+        x_live = [xs[live] for xs in prices]
+        sums = call_u_U(
+            np.log(spec.strike / x_live[0]),
+            s[live],
+            sigma,
+            params,
+            intens,
+            controls,
+            weight_u=spec.strike,
+            weight_U=max(float(np.max(xs)) for xs in x_live),
+            jump=jump,
+        )
+        for values, xs, u, U in zip(out, x_live, sums[::2], sums[1::2]):
+            values[live] = xs * U - spec.strike * u
+    return out.reshape(len(prices), *t_arr.shape)
+
+
 def call_value_surface(
     t: np.ndarray | float,
     x: np.ndarray | float,
@@ -804,35 +915,26 @@ def call_value_surface(
     ``call_u_U`` call, with the U tail weighted by the largest of their
     prices, so the whole array shares one series stop.
     """
-    if intens is None:
-        intens = martingale_intensities(params)
-    scalar = np.ndim(t) == 0 and np.ndim(x) == 0
-    t_arr, x_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    )
-    if np.any(t_arr > spec.maturity) or np.any(t_arr < 0):
-        raise ValueError("t must lie in [0, maturity]")
-    if np.any(x_arr <= 0):
-        raise ValueError("stock prices must be positive")
-    s = spec.maturity - t_arr
-    out = np.empty(t_arr.shape)
-    expired = s <= 0
-    out[expired] = np.maximum(x_arr[expired] - spec.strike, 0.0)
-    live = np.flatnonzero(~expired.ravel())
-    if live.size:
-        x_live = x_arr.ravel()[live]
-        u, U = call_u_U(
-            np.log(spec.strike / x_live),
-            s.ravel()[live],
-            sigma,
-            params,
-            intens,
-            controls,
-            weight_u=spec.strike,
-            weight_U=float(np.max(x_live)),
-        )
-        out.ravel()[live] = x_live * U - spec.strike * u
-    return float(out) if scalar else out
+    out = _call_values(t, x, sigma, params, spec, controls, intens, jump=False)[0]
+    return float(out) if np.ndim(t) == 0 and np.ndim(x) == 0 else out
+
+
+def call_value_and_jump(
+    t: np.ndarray | float,
+    x: np.ndarray | float,
+    sigma: Regime,
+    params: ModelParams,
+    spec: CallSpec,
+    controls: SeriesControls = SeriesControls(),
+    intens: MartingaleIntensities | None = None,
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Call values (F(t, x, sigma), F(t, x (1 + h_sigma), -sigma)) before and
+    after a switch from sigma, from one ``call_u_U`` pass with one series
+    stop: the two states of a hedge ratio."""
+    before, after = _call_values(t, x, sigma, params, spec, controls, intens, jump=True)
+    if np.ndim(t) == 0 and np.ndim(x) == 0:
+        return float(before), float(after)
+    return before, after
 
 
 def merton_price(

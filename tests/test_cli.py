@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import telegraph_market
+import telegraph_market.hedging as hedging
 import telegraph_market.pricing as pricing
 from telegraph_market.cli import main, parse_config
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
@@ -479,6 +480,22 @@ def test_hedge_report(cfg, capsys):
     assert isinstance(doc["admissible"], bool)
 
 
+def test_hedge_huge_maturity_fails_fast(cfg):
+    # the series cannot be summed at T = 1e300: the t = 0 price fails
+    # (exit 3) before any path is drawn, where the sampler would not end
+    src = str(Path(telegraph_market.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "telegraph_market.cli", "hedge", "--config", cfg,
+         "--strike", "100", "--maturity", "1e300"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=30,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("numerical failure: switch-count series")
+    assert done.stderr.count("\n") == 1
+
+
 STEEP = """\
 # steep market: lambda* = (20, 1); a ten-year hedge needs 561 series terms
 c_plus = 0.45
@@ -516,11 +533,16 @@ def test_hedge_steep_market_many_terms(tmp_path, capsys):
 def test_hedge_kernel_overflow_exit_code(cfg, capsys, monkeypatch):
     # a transport coefficient out of the float range (a_bar^k overflows on
     # steep markets once wedge points reach k ~ 240, beta_{k,j} from
-    # k = 1484): a typed error, exit 3 with the message, no traceback
+    # k = 1484): a typed error, exit 3 with the message, no traceback. The
+    # hedge prices both states of its ratios in one pass, never one state
     def out_of_range(k_max):
         return np.full((k_max + 1, k_max), np.inf)
 
+    def one_state(*args):
+        raise AssertionError("the hedge called the one-state pricer")
+
     monkeypatch.setattr(pricing, "_beta_table", out_of_range)
+    monkeypatch.setattr(hedging.CallPricer, "__call__", one_state)
     code = main(["hedge", "--config", cfg, "--strike", "100", "--maturity", "1",
                  "--paths", "2", "--grid", "10"])
     captured = capsys.readouterr()
@@ -658,6 +680,29 @@ def test_limit_check_input_error_exit_code(capsys, flag, value, name):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("flag, name", [("--vc", "v_c"), ("--va", "v_a")])
+def test_limit_check_huge_velocity_exit_code(capsys, flag, name):
+    # a finite velocity whose square overflows the limit variance is a
+    # numerical failure named by its field, not an OverflowError traceback
+    options = {"--vc": "0.3", "--va": "0.2", "--mu": "0.05", flag: "1e300"}
+    code = main(["limit-check", *(arg for pair in options.items() for arg in pair)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"numerical failure: {name} = 1e+300")
+    assert captured.err.count("\n") == 1
+
+
+def test_limit_check_jump_size_overflow_exit_code(capsys):
+    # v_a = 1000 makes the level-1 jump factor e^1000: exit 3, one line
+    code = main(["limit-check", "--vc", "0.3", "--va", "1000", "--mu", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: limit-check overflowed")
+    assert captured.err.count("\n") == 1
 
 
 def test_density_bad_config_exit_code(tmp_path, capsys):

@@ -11,7 +11,12 @@ from telegraph_market.hedging import (
     replication_backtest,
 )
 from telegraph_market.model import RegimePath, path_state, sample_path
-from telegraph_market.pricing import CallSpec, SeriesControls, call_price
+from telegraph_market.pricing import (
+    CallSpec,
+    SeriesControls,
+    call_price,
+    call_value_surface,
+)
 
 from oracles import replication_backtest_every_point
 from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
@@ -204,12 +209,38 @@ def test_replication_matches_every_point_reference(pricer_and_params):
         assert got.admissible == ref.admissible, name
 
 
+def test_replication_plain_pricer_matches_call_pricer(pricer_and_params):
+    # a plain F(t, x, sigma) takes the two-call form of the hedge ratio, the
+    # call pricer one pass for both states: the same backtest up to rounding
+    pricer, params, spec = pricer_and_params
+    minus = replace(params, sigma0=-1)
+    paths = _asym_round(params, spec.maturity, 20, 7) + _asym_round(
+        minus, spec.maturity, 20, 8
+    )
+
+    def plain(t, x, sigma):
+        return call_value_surface(t, x, sigma, params, spec, CTRL)
+
+    assert not hasattr(plain, "value_and_jump")
+    got = replication_backtest(paths, spec, params, 300, pricer_f=pricer)
+    ref = replication_backtest(paths, spec, params, 300, pricer_f=plain)
+    tol = 1e-13 * params.s0
+    np.testing.assert_allclose(got.errors, ref.errors, rtol=0, atol=tol)
+    assert got.min_capital == pytest.approx(ref.min_capital, rel=0, abs=tol)
+    assert got.mean_abs_error == pytest.approx(ref.mean_abs_error, rel=0, abs=tol)
+    assert got.initial_capital == ref.initial_capital
+
+
 def test_replication_prices_each_state_once(pricer_and_params):
     # the paths share their uniform-grid states up to the first switch; the
     # backtest prices each distinct (t, S, sigma) state once, with the two
-    # pricer points of its hedge ratio
+    # pricer points of its hedge ratio, also where a switch falls on a grid
+    # time
     pricer, params, spec = pricer_and_params
-    paths = _asym_round(params, spec.maturity, 40)
+    on_grid = float(np.linspace(0.0, spec.maturity, 301)[90])
+    paths = _asym_round(params, spec.maturity, 40) + [
+        RegimePath(+1, (on_grid, 0.6), spec.maturity)
+    ]
     calls = []
 
     def spy(t, x, sigma):

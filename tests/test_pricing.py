@@ -748,9 +748,95 @@ def test_surface_steep_market_many_terms():
     x = np.array([100.0, 130.0, 140.0, 149.0])
     with np.errstate(over="raise", invalid="raise"):
         vals = call_value_surface(t, x, +1, params, spec, ctrl)
+        pair = pricing.call_value_and_jump(t, x, -1, params, spec, ctrl)
     ref = [call_price(replace(params, s0=xi), CallSpec(150.0, 10.0 - ti), ctrl).price
            for ti, xi in zip(t, x)]
     np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-13 * params.s0)
+    # the post-jump state of sigma = -1 is (x (1 + h_-), +1)
+    np.testing.assert_allclose(pair[1], call_value_surface(t, x * 1.1, +1, params, spec, ctrl),
+                               rtol=0, atol=1e-13 * params.s0)
+
+
+_JUMP_MARKETS = {
+    "asym": ({}, 1.0),
+    "contracting": ({"h_plus": -0.3, "h_minus": 0.2}, 1.0),
+    # c_+ = c_-: the wedge is empty, every term is a full mass or 0
+    "equal_c": ({"c_plus": -0.1, "c_minus": -0.1, "h_plus": 0.05, "h_minus": 0.05,
+                 "r_plus": 0.05, "r_minus": 0.05}, 1.0),
+    # lambda* = 50: the series runs to about a hundred terms
+    "lambda_50": ({"c_plus": 0.55, "c_minus": -0.45, "lambda_minus": 2.0,
+                   "h_plus": -0.01, "h_minus": 0.01, "r_plus": 0.05}, 1.0),
+}
+
+
+@pytest.mark.parametrize("market", sorted(_JUMP_MARKETS))
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_value_and_jump_matches_two_surfaces(asym_params, market, sigma):
+    # one transport pass prices the state and its post-jump state
+    # (x (1 + h_sigma), -sigma): the values of two separate surfaces, up to
+    # rounding and the shared series stop, also at t = maturity
+    fields_, maturity = _JUMP_MARKETS[market]
+    params = replace(asym_params, **fields_)
+    spec = CallSpec(strike=100.0, maturity=maturity)
+    ctrl = SeriesControls(max_terms=2000)
+    rng = np.random.default_rng(23)
+    size = 5 if market == "lambda_50" else 400
+    t = np.concatenate([rng.uniform(0.0, maturity, size), [maturity] * 3])
+    x = np.concatenate([rng.uniform(50.0, 200.0, size), [80.0, 100.0, 130.0]])
+    before, after = pricing.call_value_and_jump(t, x, sigma, params, spec, ctrl)
+    ref_before = call_value_surface(t, x, sigma, params, spec, ctrl)
+    ref_after = call_value_surface(t, x * (1.0 + params.h(sigma)), -sigma, params, spec, ctrl)
+    tol = 1e-13 * params.s0
+    np.testing.assert_allclose(before, ref_before, rtol=0, atol=tol)
+    np.testing.assert_allclose(after, ref_after, rtol=0, atol=tol)
+    assert np.array_equal(after[-3:], np.maximum(x[-3:] * (1.0 + params.h(sigma)) - 100.0, 0.0))
+    scalar = pricing.call_value_and_jump(0.4, 95.0, sigma, params, spec, ctrl)
+    assert all(isinstance(v, float) for v in scalar)
+    assert scalar[1] == pytest.approx(
+        call_value_surface(0.4, 95.0 * (1.0 + params.h(sigma)), -sigma, params, spec, ctrl),
+        rel=0, abs=tol,
+    )
+
+
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_call_u_U_jump_sums_match_the_post_jump_state(asym_params, sigma):
+    # at equal weights both calls stop at the same n, so the post-jump sums
+    # of one pass equal the sums at (y - ln(1 + h_sigma), t, -sigma) up to
+    # rounding, every term included; a loose tail_epsilon stops after a few
+    # terms, where the last one is far above rounding
+    intens = martingale_intensities(asym_params)
+    ctrl = SeriesControls(tail_epsilon=1e-2)
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0.05, 1.0, 300)
+    y = rng.uniform(-1.0, 1.0, t.size)
+    u, U, u_jump, U_jump = call_u_U(
+        y, t, sigma, asym_params, intens, ctrl, 100.0, 150.0, jump=True
+    )
+    ref = call_u_U(y, t, sigma, asym_params, intens, ctrl, 100.0, 150.0)
+    ref_jump = call_u_U(
+        y - math.log1p(asym_params.h(sigma)), t, -sigma, asym_params, intens,
+        ctrl, 100.0, 150.0,
+    )
+    np.testing.assert_allclose(u, ref[0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(U, ref[1], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(u_jump, ref_jump[0], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(U_jump, ref_jump[1], rtol=1e-13, atol=1e-15)
+
+
+def test_scaled_v_n_jump_is_the_lower_kernel():
+    # the post-jump kernel of one table is v_{n-1}^{(-sigma)} at its own
+    # scale: against the one-state kernel at random points, n = 1..9
+    rng = np.random.default_rng(4)
+    p, q = rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 2.0, 50)
+    for n in range(1, 10):
+        for sigma in (+1, -1):
+            for a_bar in (-1.3, 0.7):
+                log_lam, log_jump, rq, rp = 0.3 * n, 0.25 * (n - 1), 0.4, 1.1
+                value, jump = pricing._scaled_v_n(p, q, n, sigma, a_bar, log_lam, rq, rp, log_jump)
+                ref = pricing._scaled_v_n(p, q, n, sigma, a_bar, log_lam, rq, rp)
+                ref_jump = pricing._scaled_v_n(p, q, n - 1, -sigma, a_bar, log_jump, rq, rp)
+                np.testing.assert_allclose(value, ref, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(jump, ref_jump, rtol=1e-12, atol=1e-300)
 
 
 # --- special families ---------------------------------------------------------

@@ -16,6 +16,23 @@ versions. After the pairs, one traced run per tree and workload records the
 per-layer metrics. When a run exits non-zero, the record so far is written
 with that run (tree, workload, seed, exit code, the tail of its stderr)
 under ``failed_run``, and the script exits 1.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --parent-commit SHA --change-commit TEXT --out BENCH_<n>.json --op hedge
+
+The per-operation mode (``--op``) resolves effects of a few percent, which
+the end-to-end pairs do not. Each of ``OP_PAIRS`` pairs runs one short
+subprocess per tree, in alternating order, on the seeds above. A
+subprocess builds the operation's ``FULL`` inputs, makes the family's
+warm-up call and one untimed round, then times ``OP_REPS`` rounds; the
+median of its rounds is that tree's figure in the pair. The record holds
+every figure, the ratio (change / parent) of each pair, the median ratio
+with a bootstrap 95% interval (pairs resampled ``BOOTSTRAP`` times), and
+the number of pairs in which the change was faster. It is appended to the
+``per_operation`` list of ``--out``, which keeps what the file already
+holds. Pairing cancels drift slower than one pair
+(Kalibera & Jones, "Rigorous benchmarking in reasonable time", ISMM 2013).
+Give the same tree on both sides for an A/A run.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +53,29 @@ import scipy
 WORKLOADS = ("series", "paths")
 PAIRS = 10
 FIRST_SEED = 2001
+OP_PAIRS = 30
+OP_REPS = 8
+BOOTSTRAP = 10_000
+# Per operation, a script that times warmed rounds in the tree it runs in;
+# argv: seed, rounds. It prints the rounds' seconds as a JSON list.
+OP_SCRIPTS = {
+    "hedge": """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from spans import Spans
+seed, reps = int(sys.argv[1]), int(sys.argv[2])
+inp = workloads.build_hedge(seed, workloads.FULL.hedge)
+rnd, ops = workloads.hedge_ops(inp, Spans(False))
+workloads.warm_up("hedge")
+ops[0]()
+times = []
+for _ in range(reps):
+    ops[0]()
+    times.append(rnd.round_s)
+print(json.dumps(times))
+""",
+}
 
 
 def run_args(workload: str, seed: int | str, trace: int | str) -> list[str]:
@@ -59,6 +100,56 @@ def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def run_op(tree: Path, op: str, seed: int) -> float:
+    """Median seconds of ``OP_REPS`` warmed rounds of ``op`` in ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "-c", OP_SCRIPTS[op], str(seed), str(OP_REPS)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RunFailed({
+            "tree": str(tree), "op": op, "seed": seed,
+            "exit_code": done.returncode, "stderr_tail": done.stderr[-2000:],
+        })
+    return median(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def op_pairs(parent: Path, change: Path, op: str) -> dict:
+    """The per-operation record of ``OP_PAIRS`` alternating pairs."""
+    runs = []
+    for i in range(OP_PAIRS):
+        seed = FIRST_SEED + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            pair[f"{side}_s"] = run_op(parent if side == "parent" else change, op, seed)
+        pair["ratio"] = pair["change_s"] / pair["parent_s"]
+        runs.append(pair)
+        print(f"{op} seed {seed}: ratio {pair['ratio']:.4f}", file=sys.stderr)
+    ratios = [r["ratio"] for r in runs]
+    rng = random.Random(0)
+    boot = sorted(median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
+    return {
+        "command": f"python3 -c OP_SCRIPTS[{op!r}] SEED {OP_REPS}",
+        "figure": "median seconds of one subprocess's timed rounds",
+        "pairs": OP_PAIRS,
+        "reps": OP_REPS,
+        "median_ratio": median(ratios),
+        "ratio_ci95": [boot[int(0.025 * BOOTSTRAP)], boot[int(0.975 * BOOTSTRAP) - 1]],
+        "change_faster_in_pairs": sum(r < 1.0 for r in ratios),
+        "runs": runs,
+    }
+
+
+def machine() -> dict:
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = quantiles(values, n=4, method="inclusive")
     mid = median(values)
@@ -72,7 +163,23 @@ def main() -> None:
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--change-commit", required=True)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--op", choices=tuple(OP_SCRIPTS),
+                    help="per-operation mode: pair one warmed operation")
     args = ap.parse_args()
+    if args.op:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {}
+        try:
+            record.setdefault("per_operation", []).append({
+                "op": args.op,
+                "parent_commit": args.parent_commit,
+                "change_commit": args.change_commit,
+                "machine": machine(),
+                **op_pairs(args.parent, args.change, args.op),
+            })
+        except RunFailed as exc:
+            sys.exit(f"run failed: {json.dumps(exc.args[0])}")
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        return
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
@@ -80,12 +187,7 @@ def main() -> None:
         "command": " ".join(["python3", *run_args("W", "S", 0)]),
         "parent_commit": args.parent_commit,
         "change_commit": args.change_commit,
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-        },
+        "machine": machine(),
         "pairs": PAIRS,
         "workloads": {},
     }
