@@ -295,6 +295,15 @@ def cmd_limit_check(args: argparse.Namespace, out: io.TextIOBase) -> int:
     for name, value in (("v_c", args.vc), ("v_a", args.va)):
         if math.isfinite(value) and not math.isfinite(value * value):
             raise TruncationError(f"{name} = {value!r}: the limit variance {name}^2 overflows")
+    if math.isfinite(args.va) and args.va < 0:
+        for level in args.levels:
+            # the check's jump size h = e^(v_a / sqrt(level)) - 1 rounds to -1
+            # (no price left after a jump) once the exponential is below ~1e-16
+            if level >= 1 and math.exp(args.va / math.sqrt(level)) - 1.0 == -1.0:
+                raise TruncationError(
+                    f"v_a = {args.va!r}: the jump size e^(v_a / sqrt(level)) - 1 "
+                    f"rounds to -1 at level {level}"
+                )
     try:
         errors = mc.limit_scaling_check(
             args.vc, args.va, args.mu, args.levels, args.z, args.t

@@ -54,21 +54,23 @@ def simulate_terminals(
     lam_p = params.lambda_plus if lam_plus is None else lam_plus
     lam_m = params.lambda_minus if lam_minus is None else lam_minus
     n_blocks = (n_paths + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+    n_sw = np.empty(n_paths, dtype=int)
+    occ = np.empty(n_paths)
 
-    def one(block: int) -> tuple[np.ndarray, np.ndarray]:
-        cols = min(_BLOCK_SIZE, n_paths - block * _BLOCK_SIZE)
+    def one(block: int) -> None:
+        start = block * _BLOCK_SIZE
+        stop = min(start + _BLOCK_SIZE, n_paths)
         times = sample_switch_times(
-            params.sigma0, lam_p, lam_m, t_horizon, seed, block, cols
+            params.sigma0, lam_p, lam_m, t_horizon, seed, block, stop - start
         )
-        return switch_state(times, t_horizon)
+        n_sw[start:stop], occ[start:stop] = switch_state(times, t_horizon)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(one, range(n_blocks)))
+            list(pool.map(one, range(n_blocks)))
     else:
-        blocks = [one(b) for b in range(n_blocks)]
-    n_sw = np.concatenate([b[0] for b in blocks])
-    occ = np.concatenate([b[1] for b in blocks])
+        for block in range(n_blocks):
+            one(block)
     return n_sw, occ
 
 

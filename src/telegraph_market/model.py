@@ -18,10 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import TruncationError
+
 Regime = int  # +1 or -1
 
 _UINT64_MASK = (1 << 64) - 1
-_CHUNK_ROWS = 4  # rows of exponential waits drawn per chunk (even: rates alternate)
+_CHUNK_ROWS = 2  # rows of exponential waits drawn per chunk (even: rates alternate)
+_SWITCH_BUDGET = 100_000  # largest expected switch count per sampled path
 
 
 def check_regime(sigma: int) -> int:
@@ -163,6 +166,13 @@ def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _buffer_rows(expected: float) -> int:
+    """Rows of a sampler's first buffer: the mean plus six standard
+    deviations of a Poisson switch count, in whole chunks."""
+    rows = expected + 6.0 * math.sqrt(expected) + _CHUNK_ROWS
+    return _CHUNK_ROWS * math.ceil(rows / _CHUNK_ROWS)
+
+
 def sample_switch_times(
     sigma0: Regime,
     lam_plus: float,
@@ -174,12 +184,19 @@ def sample_switch_times(
 ) -> np.ndarray:
     """Switch times of ``n_cols`` independent paths, shape (rows, n_cols).
 
-    Standard exponentials from ``path_rng(seed, key)`` are drawn row-major in
-    chunks of ``_CHUNK_ROWS`` (4) rows and divided by the alternating rates
-    lambda_{sigma0}, lambda_{-sigma0}, ...; the running sum (added row by row,
-    the same sums in the same order as ``np.cumsum``) is carried across
-    chunks, drawn until every column has passed the horizon: column j holds
-    path j's switch times in increasing order, ending past the horizon.
+    Standard exponentials from ``path_rng(seed, key)`` are drawn row-major,
+    ``_CHUNK_ROWS`` (2) rows at a time, straight into one buffer, divided in
+    place by the alternating rates lambda_{sigma0}, lambda_{-sigma0}, ...
+    and summed row by row (the same sums in the same order as
+    ``np.cumsum``), until every column has passed the horizon: column j
+    holds path j's switch times in increasing order, ending past the
+    horizon. The rows returned are the fewest whole chunks after which
+    every column has passed the horizon.
+
+    The buffer is sized from the expected switch count lambda_max * horizon
+    and doubles only if a column outlives it. An expected count above
+    ``_SWITCH_BUDGET`` per path is refused with ``TruncationError`` before
+    any draw, since the sampler would not end in reasonable time or memory.
 
     The chunk size must be even, so that every chunk's rates start with
     lambda_{sigma0}. Any even size then puts the same exponentials in the
@@ -189,21 +206,33 @@ def sample_switch_times(
     """
     check_time("horizon", horizon)
     check_regime(sigma0)
+    expected = max(lam_plus, lam_minus) * horizon
+    if not expected <= _SWITCH_BUDGET:
+        raise TruncationError(
+            f"horizon = {horizon!r}: the expected switch count per path, "
+            f"max(lambda) * horizon = {expected:.4g}, exceeds the sampler's "
+            f"budget of {_SWITCH_BUDGET} switches"
+        )
     lam_first, lam_second = (
         (lam_plus, lam_minus) if sigma0 == +1 else (lam_minus, lam_plus)
     )
-    rates = np.where(np.arange(_CHUNK_ROWS) % 2 == 0, lam_first, lam_second)
+    rates = np.where(np.arange(_CHUNK_ROWS) % 2 == 0, lam_first, lam_second)[:, None]
     rng = path_rng(seed, key)
-    chunks = []
-    last = np.zeros(n_cols)
-    while not chunks or np.any(last <= horizon):
-        gaps = rng.standard_exponential(size=(_CHUNK_ROWS, n_cols)) / rates[:, None]
-        gaps[0] += last
-        for prev, row in zip(gaps, gaps[1:]):
-            np.add(row, prev, out=row)
-        chunks.append(gaps)
-        last = gaps[-1]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    times = np.empty((_buffer_rows(expected), n_cols))
+    drawn = 0
+    while True:
+        if drawn == len(times):
+            grown = np.empty((2 * drawn, n_cols))
+            grown[:drawn] = times
+            times = grown
+        chunk = times[drawn:drawn + _CHUNK_ROWS]
+        rng.standard_exponential(out=chunk)
+        chunk /= rates
+        for row in range(max(drawn, 1), drawn + _CHUNK_ROWS):
+            np.add(times[row], times[row - 1], out=times[row])
+        drawn += _CHUNK_ROWS
+        if chunk[-1].min(initial=math.inf) > horizon:
+            return times[:drawn]
 
 
 def switch_state(
@@ -256,7 +285,11 @@ class PathState(NamedTuple):
         """Sum of pre-switch-indexed sizes h_{sigma0}, h_{-sigma0}, ... over
         the N switches."""
         h0, h1 = (h_plus, h_minus) if self.sigma0 == +1 else (h_minus, h_plus)
-        return h0 * ((self.n + 1) // 2) + h1 * (self.n // 2)
+        n = np.asarray(self.n)
+        # one value per count 0..max N, read by N: the same products and sums
+        # as the formula on every path, at a fraction of the cost
+        k = np.arange(n.max(initial=0) + 1)
+        return (h0 * ((k + 1) // 2) + h1 * (k // 2))[n]
 
     def jump_exponential(
         self, c_plus: float, c_minus: float, h_plus: float, h_minus: float

@@ -346,6 +346,25 @@ def test_simulate_non_finite_horizon_exit_code(cfg, horizon):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("horizon", ["1e300", "1e6"])
+def test_simulate_huge_horizon_fails_fast(cfg, horizon):
+    # an expected switch count past the sampler's budget is refused by the
+    # horizon's name before any draw (exit 3), where 1e300 never ended and
+    # 1e6 sampled ~3.4M switches for 11 s; a separate process with a
+    # deadline, so that a hang fails instead of stalling the suite
+    src = str(Path(telegraph_market.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "telegraph_market.cli", "simulate", "--config", cfg,
+         "--horizon", horizon, "--paths", "1", "--seed", "0", "--grid", "2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=30,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"numerical failure: horizon = {float(horizon)!r}: ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_simulate_overflow_exit_code(cfg, capsys):
     # over a horizon of 1e4 the stock leaves float range (log S/S0 ~ 1466):
     # the run writes nothing, names the column that is not finite and exits
@@ -703,6 +722,19 @@ def test_limit_check_jump_size_overflow_exit_code(capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: limit-check overflowed")
     assert captured.err.count("\n") == 1
+
+
+def test_limit_check_jump_size_underflow_exit_code(capsys):
+    # v_a = -1000 rounds the level-1 jump size e^(v_a) - 1 to -1, where the
+    # mgf's log1p(h) has no value: exit 3, one line naming v_a and the level
+    code = main(["limit-check", "--vc", "0.3", "--va", "-1000", "--mu", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: v_a = -1000.0: the jump size e^(v_a / sqrt(level)) - 1 "
+        "rounds to -1 at level 1\n"
+    )
 
 
 def test_density_bad_config_exit_code(tmp_path, capsys):

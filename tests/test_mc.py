@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from telegraph_market.model import (
     conditional_means,
     martingale_defect,
     sample_switch_times,
+    switch_state,
 )
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 from telegraph_market.quantile import QuantileSolution
@@ -28,6 +30,29 @@ def test_simulate_terminals_worker_independent(asym_params):
     for other in (b, c):
         assert np.array_equal(a[0], other[0])
         assert np.array_equal(a[1], other[1])
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 8])
+def test_simulate_terminals_partial_last_block(asym_params, n_workers):
+    # 2 full blocks and a partial one: every block's (N, occupation) lands
+    # in its slice of the shared output, as switch_state gives it on that
+    # block's draws, at any worker count, with threads switching often
+    params = replace(asym_params, sigma0=-1)
+    n_paths, seed = 2 * mc._BLOCK_SIZE + 123, 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        n_sw, occ = mc.simulate_terminals(params, 1.5, n_paths, seed, n_workers=n_workers)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = [
+        switch_state(sample_switch_times(-1, 2.0, 1.5, 1.5, seed, block, cols), 1.5)
+        for block, cols in enumerate((mc._BLOCK_SIZE, mc._BLOCK_SIZE, 123))
+    ]
+    assert n_sw.shape == occ.shape == (n_paths,)
+    assert n_sw.dtype == blocks[0][0].dtype
+    assert np.array_equal(n_sw, np.concatenate([b[0] for b in blocks]))
+    assert np.array_equal(occ, np.concatenate([b[1] for b in blocks]))
 
 
 def test_simulate_terminals_occupation_bounds(asym_params):

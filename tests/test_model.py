@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,9 +9,11 @@ import pytest
 
 import telegraph_market.model as model
 from telegraph_market import mc
+from telegraph_market.errors import TruncationError
 from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import (
     ModelParams,
+    PathState,
     RegimePath,
     bond_price,
     jump_value,
@@ -76,17 +80,20 @@ def test_sample_path_reproducible(asym_params):
 
 
 def test_sample_switch_times_carries_one_stream_across_chunks():
-    # ~30 switches per path at lambda T ~ 30: several chunks per column; the
-    # row-by-row running sum equals np.cumsum over the same stream, bit for
-    # bit, from either starting regime, for one path and for many
-    for sigma0, first, second, n_cols in (
-        (+1, 10.0, 9.72, 1), (-1, 9.72, 10.0, 1), (+1, 10.0, 9.72, 300), (-1, 9.72, 10.0, 300)
+    # from under one to ~750 switches per path: up to hundreds of chunks per
+    # column; the row-by-row running sum equals np.cumsum over the same
+    # stream, bit for bit, from either starting regime, for one path and for
+    # many, and the sampler stops at the first whole chunk past the horizon
+    # in every column
+    for lam, horizon, sigma0, n_cols in itertools.product(
+        ((2.0, 1.5), (10.0, 9.72), (50.0, 48.0)), (0.3, 3.0, 15.0), (+1, -1), (1, 300)
     ):
-        times = sample_switch_times(sigma0, 10.0, 9.72, 3.0, seed=4, key=2, n_cols=n_cols)
+        times = sample_switch_times(sigma0, *lam, horizon, seed=4, key=2, n_cols=n_cols)
         rows, chunk = times.shape[0], model._CHUNK_ROWS
-        # whole chunks, the last one needed by some column
-        assert rows > chunk and rows % chunk == 0
-        assert np.all(times[-1] > 3.0) and np.any(times[rows - chunk - 1] <= 3.0)
+        needed = int(np.sum(times <= horizon, axis=0).max()) + 1
+        assert rows == chunk * math.ceil(needed / chunk)
+        assert np.all(times[-1] > horizon)
+        first, second = lam if sigma0 == +1 else lam[::-1]
         rates = np.where(np.arange(rows) % 2 == 0, first, second)[:, None]
         one_shot = np.cumsum(
             path_rng(4, 2).standard_exponential(size=(rows, n_cols)) / rates, axis=0
@@ -94,10 +101,22 @@ def test_sample_switch_times_carries_one_stream_across_chunks():
         assert np.array_equal(times, one_shot)
 
 
+def test_sample_switch_times_budget():
+    # an expected switch count above the budget is refused by the horizon's
+    # name before any draw, where the sampler would run for hours or never
+    # end; the lambda* = 50 market at T = 15 (750 switches) stays inside it
+    for horizon in (1e300, 1e6):
+        with pytest.raises(TruncationError, match=re.escape(f"horizon = {horizon!r}:")):
+            sample_switch_times(+1, 2.0, 1.5, horizon, seed=0, key=0, n_cols=1)
+    assert sample_switch_times(+1, 50.0, 50.0, 15.0, seed=0, key=0, n_cols=2).shape[0] > 600
+
+
 def test_chunk_size_keeps_every_number(monkeypatch, asym_params):
     # one Philox stream fills the rows in order, so every even chunk size
-    # gives the same switch times, terminal states and strategy profits;
-    # the size must be even so that each chunk's rates start with lambda_{sigma0}
+    # gives the same switch times, terminal states and strategy profits, and
+    # so does a buffer that starts at one chunk and doubles as columns
+    # outlive it; the size must be even so that each chunk's rates start
+    # with lambda_{sigma0}
     assert model._CHUNK_ROWS % 2 == 0
     fast = replace(asym_params, lambda_plus=10.0, lambda_minus=9.72)
     jump_free = ModelParams(
@@ -118,14 +137,35 @@ def test_chunk_size_keeps_every_number(monkeypatch, asym_params):
         return terminals, profits, paths
 
     runs = []
-    for rows in (2, 4, 16):
+    buffer_rows = model._buffer_rows
+    for rows, one_chunk in ((2, False), (4, False), (16, False), (2, True)):
         monkeypatch.setattr(model, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(
+            model, "_buffer_rows", (lambda expected: rows) if one_chunk else buffer_rows
+        )
         runs.append(run())
     (terminals, profits, paths), *others = runs
     for other_terminals, other_profits, other_paths in others:
         assert all(np.array_equal(a, b) for a, b in zip(terminals, other_terminals))
         assert np.array_equal(profits, other_profits)
         assert paths == other_paths
+
+
+@pytest.mark.parametrize("sigma0", [+1, -1])
+@pytest.mark.parametrize("n", [
+    np.zeros(0, dtype=int),
+    np.array(3),
+    np.arange(60).reshape(4, 15) * 7 % 41,
+])
+def test_jump_sum_matches_formula(sigma0, n):
+    # the per-count table gives h_{sigma0} ceil(N/2) + h_{-sigma0} floor(N/2)
+    # bit for bit, with N's shape, on empty, 0-d and (paths x grid) counts
+    h_plus, h_minus = -0.2, 0.4
+    h0, h1 = (h_plus, h_minus) if sigma0 == +1 else (h_minus, h_plus)
+    got = PathState(sigma0, 1.0, n, np.zeros(n.shape)).jump_sum(h_plus, h_minus)
+    want = h0 * ((n + 1) // 2) + h1 * (n // 2)
+    assert np.shape(got) == n.shape
+    assert np.array_equal(got, want)
 
 
 _EPS = np.finfo(float).eps

@@ -25,7 +25,10 @@ the end-to-end pairs do not. Each of ``OP_PAIRS`` pairs runs one short
 subprocess per tree, in alternating order, on the seeds above. A
 subprocess builds the operation's ``FULL`` inputs, makes the family's
 warm-up call and one untimed round, then times ``OP_REPS`` rounds; the
-median of its rounds is that tree's figure in the pair. The record holds
+median of its rounds is that tree's figure in the pair. ``hedge`` times a
+whole ``workloads.hedge_ops`` round; ``mc`` times the ``estimators_s`` of a
+``workloads.mc_ops`` round (the three terminal-state estimators, which
+``mc_paths_per_s`` divides by). The record holds
 every figure, the ratio (change / parent) of each pair, the median ratio
 with a bootstrap 95% interval (pairs resampled ``BOOTSTRAP`` times), and
 the number of pairs in which the change was faster. It is appended to the
@@ -74,6 +77,24 @@ for _ in range(reps):
     ops[0]()
     times.append(rnd.round_s)
 print(json.dumps(times))
+""",
+    # the three terminal-state estimators' seconds of a whole round, whose
+    # limit checks and arbitrage demos run between them as in the benchmark
+    "mc": """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from spans import Spans
+seed, reps = int(sys.argv[1]), int(sys.argv[2])
+inp = workloads.build_mc(seed, workloads.FULL.mc)
+workloads.warm_up("mc")
+def one_round():
+    rnd, ops = workloads.mc_ops(inp, Spans(False))
+    for op in ops:
+        op()
+    return rnd.estimators_s
+one_round()
+print(json.dumps([one_round() for _ in range(reps)]))
 """,
 }
 
