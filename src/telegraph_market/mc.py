@@ -5,9 +5,9 @@ diffusion-limit check of the scaled telegraph family.
 Simulation is block-based: paths are generated in fixed-size blocks with
 counter-based RNG streams keyed by (seed, block index) and reduced in block
 order, so estimates are bit-identical for any worker count. Every estimator
-evaluates a whole block at once; the arbitrage demonstration reads each
-block's strategy profits from one running sum of the log-price events and
-two first crossings, with exact trades at the levels.
+evaluates a whole block at once; the arbitrage demonstration scans each
+block's log-price events in time order over the paths whose trade is still
+undecided, with exact trades at the levels.
 """
 
 from __future__ import annotations
@@ -198,30 +198,31 @@ def arbitrage_demo(
     level_a, sell at the first later time S returns to level_a, reaches
     level_b, or at the horizon.
 
-    Each block of paths is evaluated in one array pass over its switch-time
-    matrix (`_block_profits`). Level crossings inside a segment are exact:
-    a share bought or sold there trades at exactly A or B, while a jump
-    across a level trades at the post-jump price.
+    Each block of paths is scanned event by event over the paths whose
+    trade is still undecided (`_block_profits`). Level crossings inside a
+    segment are exact: a share bought or sold there trades at exactly A or
+    B, while a jump across a level trades at the post-jump price.
 
-    For the jump-free zero-rate market (h = 0, r = 0) every path has
+    The demo holds for zero rates only (r_plus = r_minus = 0), so profits
+    need no discounting. For the jump-free market (h = 0) every path has
     profit >= 0 and profit > 0 with positive probability. With admissible
     jumps under the martingale measure the same strategy has zero expected
-    discounted profit (negative control).
+    profit (negative control).
     """
     _check_n_paths(n_paths)
     if not params.s0 < level_a < level_b:
         raise ValueError("levels must satisfy s0 < A < B")
+    if params.r_plus != 0.0 or params.r_minus != 0.0:
+        raise ValueError(
+            f"the arbitrage demo assumes zero rates, got r_plus = "
+            f"{params.r_plus}, r_minus = {params.r_minus}"
+        )
     if measure == "physical":
         lam_p, lam_m = params.lambda_plus, params.lambda_minus
         jumpless = params.h_plus == 0.0 and params.h_minus == 0.0
-        if jumpless:
-            if params.r_plus != 0.0 or params.r_minus != 0.0:
-                raise ValueError("the jump-free demonstration assumes zero rates")
-            if level_b >= params.s0 * math.exp(params.c_plus * t_horizon):
-                raise ValueError("B must be reachable: B < s0 e^{c_+ T}")
+        if jumpless and level_b >= params.s0 * math.exp(params.c_plus * t_horizon):
+            raise ValueError("B must be reachable: B < s0 e^{c_+ T}")
     elif measure == "martingale":
-        if params.r_plus != 0.0 or params.r_minus != 0.0:
-            raise ValueError("the negative control assumes zero rates")
         intens = martingale_intensities(params)
         lam_p, lam_m = intens.lambda_star_plus, intens.lambda_star_minus
     else:
@@ -239,8 +240,6 @@ def arbitrage_demo(
         profits[start:start + cols] = _block_profits(
             params, times, t_horizon, log_a, log_b
         )
-    # rates are zero in the demo; the control uses r = 0 too, so profits
-    # need no discounting
     pos = (profits > 1e-12 * params.s0).astype(float)
     return ArbitrageDemoResult(
         profits=profits,
@@ -258,90 +257,84 @@ def _block_profits(
     log_b: float,
 ) -> np.ndarray:
     """Exact event-driven profits of the threshold strategy on a block of
-    paths, from their (rows, paths) switch-time matrix.
+    paths, from their (rows, paths) switch-time matrix, in which every
+    column must end with a time at or past the horizon.
 
-    The log-price ln(S/S0) is piecewise linear between switches with jumps
-    ln(1+h) at switches, and does not depend on the trades. A running sum of
-    the interleaved increments (drift over segment k, then the jump at its
-    end) gives every event value: event 2k ends segment k, event 2k + 1 is
-    the value after the jump that ends it. A path with K switches below the
-    horizon has events 0 .. 2K.
+    The log-price x = ln(S/S0) is piecewise linear between switches with
+    jumps ln(1+h) at switches, and does not depend on the trades. The scan
+    walks segment k = 0, 1, ... over the columns still in play: event 2k
+    adds the drift c_k (min(tau_k, T) - tau_{k-1}) that ends segment k
+    (tau_{-1} = 0), event 2k + 1 the jump ln(1+h) at its switch. A column
+    with tau_k >= T has its last event at 2k. Columns are selected through
+    index arrays (``np.flatnonzero``, ``take``), which cost several times
+    less than ``np.where`` or a boolean mask over a random block.
 
     Entry is the first event at or above ln A: at a segment end it is a
     continuous crossing, bought exactly at A; after a jump, bought at the
     post-jump price. Exit is the first event from the entry on where a
     rising segment reaches ln B (sold exactly at B), a falling segment falls
-    to ln A (sold exactly at A), or a jump lands at or beyond either level
-    (sold at the post-jump price). Without an exit the share is valued at
-    the horizon; without an entry the profit is 0.
+    to ln A (sold exactly at A, not at the entry event itself), or a jump
+    lands at or beyond either level (sold at the post-jump price). Without
+    an exit the share is valued at the horizon; without an entry the profit
+    is 0. A decided column leaves the scan, which ends when none is left.
     """
-    below = times < t_horizon
-    n_live = np.add.reduce(below, axis=0, dtype=np.int32)
-    rows = int(n_live.max()) + 1
-    seg_ends = np.minimum(times[:rows], t_horizon)
-    regimes = params.sigma0 * np.where(np.arange(rows) % 2 == 0, 1, -1)
-    c = np.array([params.c(sig) for sig in regimes])
-    jump = np.array([math.log1p(params.h(sig)) for sig in regimes[:-1]])
-
-    n_events = 2 * rows - 1
-    x = np.empty((n_events, times.shape[1]))
-    np.multiply(c[0], seg_ends[0], out=x[0])
-    drift = x[2::2]
-    np.subtract(seg_ends[1:], seg_ends[:-1], out=drift)
-    drift *= c[1:, None]
-    # a switch at or past the horizon is no event: its NaN propagates through
-    # the sum, and NaN compares false with both levels, so no path enters or
-    # exits after its last event 2K
-    x[1::2] = np.where(below[: rows - 1], jump[:, None], np.nan)
-    # row by row: numpy's cumsum along axis 0 walks each column with a
-    # stride and costs ten times as much; the additions are the same
-    for i in range(1, n_events):
-        np.add(x[i - 1], x[i], out=x[i])
-
-    # the level each event can exit through: a rising segment B, a falling
-    # one A, a jump either
-    through_b = np.ones((n_events, 1), dtype=bool)
-    through_a = np.ones((n_events, 1), dtype=bool)
-    through_b[0::2, 0] = c > 0
-    through_a[0::2, 0] = c < 0
-
-    entry = _first_true(x >= log_a)
-    entered = entry < n_events
-    entry = np.where(entered, entry, 0)  # any event: unentered paths earn 0
-    # every event before the entry is below ln A, so only the falls to ln A
-    # need masking; at the entry event itself only B closes, so a jump entry
-    # exactly at ln A holds
-    falls = (x <= log_a) & through_a
-    falls &= np.arange(n_events)[:, None] > entry
-    exits = (x >= log_b) & through_b
-    exits |= falls
-    exit_ = _first_true(exits)
-    held = exit_ == n_events
-    exit_ = np.where(held, 2 * n_live, exit_)
-
-    cols = np.arange(times.shape[1])
+    n_cols = times.shape[1]
+    profits = np.zeros(n_cols)
     level_a, level_b = math.exp(log_a), math.exp(log_b)
-    sell = np.where(
-        ~held & (exit_ % 2 == 0),
-        np.where(through_b[exit_, 0], level_b, level_a),
-        np.exp(x[exit_, cols]),
-    )
-    buy = np.where(entry % 2 == 0, level_a, np.exp(x[entry, cols]))
-    return np.where(entered, (sell - buy) * params.s0, 0.0)
+    # the columns in play: index, log-price, end of the last segment, entry
+    # price and whether it is entered; x and prev start as the scalar 0,
+    # which adds nothing to the first drift
+    cols = np.arange(n_cols)
+    x = prev = 0.0
+    buy = np.zeros(n_cols)
+    entered = np.zeros(n_cols, dtype=bool)
 
+    def close(i: np.ndarray, sell: float | np.ndarray) -> None:
+        profits[cols.take(i)] = (sell - buy.take(i)) * params.s0
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Row index of the first True in each column of ``mask``, or
-    ``len(mask)`` where a column has none.
+    def keep(out: np.ndarray, *state: np.ndarray) -> list[np.ndarray]:
+        i = np.flatnonzero(~out)
+        return [a.take(i) for a in state]
 
-    The largest of the descending ranks len(mask) .. 1 over the True rows
-    marks the first one; a product and a row-wise max are many times faster
-    than ``argmax`` along axis 0, which copies the array to make the axis
-    contiguous.
-    """
-    n = len(mask)
-    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
-    return n - (mask * rank).max(axis=0)
+    sig = params.sigma0
+    for row in times:
+        c = params.c(sig)
+        end = np.minimum(row.take(cols), t_horizon)
+        drift = end - prev
+        drift *= c
+        x += drift
+        up = x >= log_a
+        # a rise closes through B, a fall through A but not at the entry
+        # event itself, a flat segment not at all
+        out = x >= log_b if c > 0 else (x <= log_a) & entered & (c < 0)
+        # on booleans u > v is u & ~v: here, entered at this event
+        buy[np.flatnonzero(up > entered)] = level_a
+        entered |= up
+        close(np.flatnonzero(out), level_b if c > 0 else level_a)
+        last = end >= t_horizon
+        held = np.flatnonzero((last & entered) > out)  # and not closed
+        close(held, np.exp(x.take(held)))
+        out |= last
+        cols, x, prev, buy, entered = keep(out, cols, x, end, buy, entered)
+        if not cols.size:
+            break
+        # the jump at the switch: a jump entry buys at the post-jump price,
+        # and any jump to or beyond either level closes at it
+        x += math.log1p(params.h(sig))
+        up = x >= log_a
+        out = x <= log_a
+        out &= entered
+        out |= x >= log_b
+        new = np.flatnonzero(up > entered)
+        buy[new] = np.exp(x.take(new))
+        entered |= up
+        closed = np.flatnonzero(out)
+        close(closed, np.exp(x.take(closed)))
+        cols, x, prev, buy, entered = keep(out, cols, x, prev, buy, entered)
+        if not cols.size:
+            break
+        sig = -sig
+    return profits
 
 
 def limit_scaling_check(

@@ -28,7 +28,12 @@ import numpy as np
 
 from .errors import BudgetError, TruncationError
 from .measure import MartingaleIntensities, martingale_intensities
-from .model import ModelParams, linear_transform_coeffs, log_kappa_sequence
+from .model import (
+    ModelParams,
+    check_finite,
+    linear_transform_coeffs,
+    log_kappa_sequence,
+)
 from .numerics import geometric_root
 from .pricing import (
     CallSpec,
@@ -50,6 +55,7 @@ class Budget:
     v0: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.v0 > 0:
             raise BudgetError("budget must be positive")
 

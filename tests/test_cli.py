@@ -611,6 +611,17 @@ def test_quantile_infeasible_budget_exit_code(cfg_minus, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_quantile_non_finite_budget_exit_code(cfg_minus, capsys, budget):
+    # an input error naming the field, not an infeasible budget
+    code = main(["quantile", "--config", cfg_minus, "--strike", "100",
+                 "--maturity", "1", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: v0 must be finite, got {float(budget)}\n"
+
+
 def test_quantile_cap_in_atom_gap_exit_code(cfg, capsys):
     # started in the fast regime, P(success) jumps from 1 to 1 - e^{-2} where
     # the no-switch atom leaves the success set: a 10% shortfall cap has no

@@ -183,6 +183,16 @@ def test_arbitrage_demo_validation():
         )
 
 
+@pytest.mark.parametrize("measure", ["physical", "martingale"])
+def test_arbitrage_demo_refuses_rates(asym_params, measure):
+    # the demo does not discount: rates are refused under either measure,
+    # with jumps too
+    with pytest.raises(ValueError, match="r_plus = 0.08, r_minus = 0.05"):
+        mc.arbitrage_demo(
+            asym_params, 105.0, 115.0, 1.0, 20_000, seed=3, measure=measure
+        )
+
+
 def test_arbitrage_demo_martingale_control():
     # with admissible jumps under the martingale measure the same strategy
     # has zero expected profit
@@ -264,6 +274,63 @@ def test_block_profits_every_branch(case):
         assert profits[0] < 0.0
     else:
         assert profits[0] == expected
+
+
+def _block(columns, rows):
+    """A (rows, len(columns)) switch-time matrix: each column's switches,
+    then times past the horizon T = 1, as the sampler's columns end."""
+    return np.array([
+        (list(col) + [2.0 + k for k in range(rows)])[:rows] for col in columns
+    ]).T
+
+
+def _one_column_profits(params, times, log_a=LOG_A, log_b=LOG_B):
+    return np.array([
+        mc._block_profits(params, col[:, None], 1.0, log_a, log_b)[0]
+        for col in times.T
+    ])
+
+
+# short rises and long falls: never enters, decided only in the last row
+LONG = {+1: [0.01, 0.5, 0.51, 0.99], -1: [0.49, 0.5, 0.98, 0.99]}
+
+
+@pytest.mark.parametrize("market, sigma0", [
+    (JUMP_FREE, +1), (JUMP_FREE, -1), (JUMPY, +1),
+])
+def test_block_profits_columns_are_independent(market, sigma0):
+    params = replace(market, sigma0=sigma0)
+    switches = [case[2] for case in HAND_BUILT.values()] * 3
+    # a first switch past T decides a column at event 0
+    columns = switches + [[], LONG[sigma0]]
+    order = np.random.default_rng(5).permutation(len(columns))
+    times = _block([columns[i] for i in order], 5)
+    profits = mc._block_profits(params, times, 1.0, LOG_A, LOG_B)
+    assert np.array_equal(profits, _one_column_profits(params, times))
+    _check_against_loop(params, times, 1.0, profits)
+
+
+def test_block_profits_all_decided_early():
+    # every column is decided by event 3, in row 1 of 6: one reaches the
+    # horizon unentered at event 0, one is bought and sold at event 1, and
+    # one enters by a jump at 0.126 that the jump ln 0.8 closes below A at
+    # event 3
+    params = replace(JUMPY, sigma0=-1)
+    times = _block([[], [0.1], [0.7, 0.71]] * 2, 6)
+    profits = mc._block_profits(params, times, 1.0, LOG_A, LOG_B)
+    assert np.array_equal(profits, _one_column_profits(params, times))
+    ref = _check_against_loop(params, times, 1.0, profits)
+    assert ref[2] < 0.0
+
+
+def test_block_profits_no_entry():
+    # levels out of reach: nothing is bought, every profit is exactly 0
+    params = replace(JUMP_FREE, sigma0=+1)
+    columns = [case[2] for case in HAND_BUILT.values()] + [[], LONG[+1]]
+    times = _block(columns, 5)
+    profits = mc._block_profits(params, times, 1.0, 1.0, 2.0)
+    assert np.array_equal(profits, np.zeros(len(columns)))
+    assert np.array_equal(profits, _one_column_profits(params, times, 1.0, 2.0))
 
 
 # both jump onto ln A exactly: -0.24 + ln 1.4

@@ -28,7 +28,9 @@ warm-up call and one untimed round, then times ``OP_REPS`` rounds; the
 median of its rounds is that tree's figure in the pair. ``hedge`` times a
 whole ``workloads.hedge_ops`` round; ``mc`` times the ``estimators_s`` of a
 ``workloads.mc_ops`` round (the three terminal-state estimators, which
-``mc_paths_per_s`` divides by). The record holds
+``mc_paths_per_s`` divides by); ``arb`` times the summed ``arbitrage_s`` of
+such a round (its arbitrage demos, whose per-call times
+``arbitrage_paths_per_s`` divides by). The record holds
 every figure, the ratio (change / parent) of each pair, the median ratio
 with a bootstrap 95% interval (pairs resampled ``BOOTSTRAP`` times), and
 the number of pairs in which the change was faster. It is appended to the
@@ -59,6 +61,25 @@ FIRST_SEED = 2001
 OP_PAIRS = 30
 OP_REPS = 8
 BOOTSTRAP = 10_000
+# A script that times one figure of whole ``workloads.mc_ops`` rounds, whose
+# operations run in the benchmark's order; FIGURE is an expression of the
+# round ``rnd``.
+MC_ROUND = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from spans import Spans
+seed, reps = int(sys.argv[1]), int(sys.argv[2])
+inp = workloads.build_mc(seed, workloads.FULL.mc)
+workloads.warm_up("mc")
+def one_round():
+    rnd, ops = workloads.mc_ops(inp, Spans(False))
+    for op in ops:
+        op()
+    return FIGURE
+one_round()
+print(json.dumps([one_round() for _ in range(reps)]))
+"""
 # Per operation, a script that times warmed rounds in the tree it runs in;
 # argv: seed, rounds. It prints the rounds' seconds as a JSON list.
 OP_SCRIPTS = {
@@ -80,22 +101,9 @@ print(json.dumps(times))
 """,
     # the three terminal-state estimators' seconds of a whole round, whose
     # limit checks and arbitrage demos run between them as in the benchmark
-    "mc": """
-import json, sys
-sys.path[:0] = ["src", "perfbench"]
-import workloads
-from spans import Spans
-seed, reps = int(sys.argv[1]), int(sys.argv[2])
-inp = workloads.build_mc(seed, workloads.FULL.mc)
-workloads.warm_up("mc")
-def one_round():
-    rnd, ops = workloads.mc_ops(inp, Spans(False))
-    for op in ops:
-        op()
-    return rnd.estimators_s
-one_round()
-print(json.dumps([one_round() for _ in range(reps)]))
-""",
+    "mc": MC_ROUND.replace("FIGURE", "rnd.estimators_s"),
+    # the arbitrage demos' summed seconds of a whole round
+    "arb": MC_ROUND.replace("FIGURE", "sum(rnd.arbitrage_s)"),
 }
 
 
