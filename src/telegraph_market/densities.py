@@ -1,20 +1,20 @@
 """Exact distributions of the telegraph process position.
 
-Per-switch-count (generalized) densities p_n, the total distribution with its
+The continuous parts of the per-switch-count densities (n >= 1; the n = 0
+term is the atom e^{-lambda_s t} at c_s t), the total distribution with its
 atom on the no-switch ray, the modified Bessel closed form, and the MGF of the
 jump telegraph process: X + ln kappa is a Markov additive process, so the MGF is
 a row sum of a 2x2 matrix exponential (Asmussen, Applied Probability and
 Queues, ch. XI).
 
-All densities are returned as an explicit (atom, continuous) pair; the atom
-is never smoothed into the continuous part.
+The total distribution is returned as an explicit (atom, continuous) pair;
+the atom is never smoothed into the continuous part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,21 +125,6 @@ def log_q_n(
         )
 
 
-def q_n(
-    x: np.ndarray | float,
-    t: float,
-    n: int,
-    sigma: Regime,
-    params: DensityParams,
-) -> np.ndarray | float:
-    """Polynomial kernel of the n-switch density, zero outside (c_- t, c_+ t)."""
-    x = np.asarray(x, dtype=float)
-    logq = log_q_n(x, t, n, sigma, params)
-    inside = (x > params.c_minus * t) & (x < params.c_plus * t)
-    out = np.where(inside, np.exp(logq), 0.0)
-    return out if out.ndim else float(out)
-
-
 def p_n_continuous(
     x: np.ndarray | float,
     t: float,
@@ -157,34 +142,6 @@ def p_n_continuous(
     inside = (x_arr > params.c_minus * t) & (x_arr < params.c_plus * t)
     out = np.where(inside, np.exp(expo), 0.0)
     return out if np.ndim(x) else float(out)
-
-
-def p_n(
-    x: np.ndarray | float,
-    t: float,
-    n: int,
-    sigma: Regime,
-    params: DensityParams,
-) -> DensityValue:
-    """n-switch contribution: pure atom for n = 0, continuous part for n >= 1."""
-    check_regime(sigma)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    atom_loc = params.c(sigma) * t
-    if n == 0:
-        cont = np.zeros_like(np.asarray(x, dtype=float))
-        return DensityValue(
-            atom_weight=math.exp(-params.lam(sigma) * t),
-            continuous=cont if cont.ndim else 0.0,
-            atom_location=atom_loc,
-        )
-    return DensityValue(
-        atom_weight=0.0,
-        continuous=p_n_continuous(x, t, n, sigma, params),
-        atom_location=atom_loc,
-    )
 
 
 def _scaled_bessel(z: np.ndarray) -> np.ndarray:
@@ -265,8 +222,8 @@ def mgf(
     """Moment-generating function E_sigma[e^{z (X(t) + ln kappa(t))}] at z:
     (e^{tK} 1)_sigma, K = [[z c_+ - lambda_+, lambda_+ (1 + h_+)^z],
     [lambda_- (1 + h_-)^z, z c_- - lambda_-]], since leaving regime s multiplies
-    the price by 1 + h_s (``model.kappa``). Raises DivergenceError when either
-    row of e^{tK} 1 leaves the float range."""
+    the price by 1 + h_s, one factor of kappa. Raises DivergenceError when
+    either row of e^{tK} 1 leaves the float range."""
     check_regime(sigma)
     if not t > 0:
         raise ValueError("t must be positive")
@@ -280,51 +237,3 @@ def mgf(
         raise DivergenceError("mgf overflow: jump factors outgrow the Poisson tail") from None
     return rows[0] if sigma == +1 else rows[1]
 
-
-class ResidualReport(NamedTuple):
-    max_residual: float
-    dx: float
-    dt: float
-
-
-def kolmogorov_residual(
-    params: DensityParams,
-    n: int,
-    sigma: Regime,
-    t: float,
-    x_grid: np.ndarray,
-    dx: float,
-    dt: float,
-) -> ResidualReport:
-    """Central-difference residual of the per-n transport equation
-    d_t p_n + c_s d_x p_n + lambda_s p_n - lambda_s p_{n-1}^{(-s)} on a grid
-    strictly inside the support.
-    """
-    if n < 1:
-        raise ValueError("residual check defined for n >= 1")
-    x_grid = np.asarray(x_grid, dtype=float)
-    t_lo = t - dt
-    if not t_lo > 0:
-        raise ValueError("dt too large for the requested t")
-    if np.any(x_grid - dx <= params.c_minus * t_lo) or np.any(
-        x_grid + dx >= params.c_plus * t_lo
-    ):
-        raise ValueError("grid touches the support boundary; kernels are not smooth there")
-    c_s = params.c(sigma)
-    lam_s = params.lam(sigma)
-    p_tp = p_n_continuous(x_grid, t + dt, n, sigma, params)
-    p_tm = p_n_continuous(x_grid, t - dt, n, sigma, params)
-    p_xp = p_n_continuous(x_grid + dx, t, n, sigma, params)
-    p_xm = p_n_continuous(x_grid - dx, t, n, sigma, params)
-    p_0 = p_n_continuous(x_grid, t, n, sigma, params)
-    if n == 1:
-        source = np.zeros_like(x_grid)  # p_0 of the flipped regime is a pure atom
-    else:
-        source = p_n_continuous(x_grid, t, n - 1, -sigma, params)
-    resid = (
-        (p_tp - p_tm) / (2.0 * dt)
-        + c_s * (p_xp - p_xm) / (2.0 * dx)
-        + lam_s * p_0
-        - lam_s * source
-    )
-    return ResidualReport(float(np.max(np.abs(resid))), dx, dt)

@@ -13,7 +13,7 @@ F(t, x, sigma) is called once for each state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,53 +84,6 @@ def hedge_ratio(
         before, after = both(t, s_arr, sigma)
     out = (after - before) / (s_arr * h)
     return float(out) if np.ndim(s) == 0 and np.ndim(t) == 0 else out
-
-
-class PdeResidualReport(NamedTuple):
-    max_residual: float
-    dt: float
-    dx: float
-
-
-def pde_residual(
-    pricer_f: PricerF,
-    t_grid: np.ndarray,
-    x_grid: np.ndarray,
-    sigma: Regime,
-    params: ModelParams,
-    dt: float,
-    dx: float,
-) -> PdeResidualReport:
-    """Central-difference residual of the pricing transport equation
-    d_t F + c_s x d_x F - (r_s + lam*_s) F + lam*_s F(t, x(1+h_s), -s)
-    over the tensor grid t_grid x x_grid.
-
-    Both derivatives use symmetric two-point stencils, so where F is C^3 on
-    the stencil the residual is O(dt^2 + dx^2): halving dt and dx together
-    cuts it by about 4. Where the stencil crosses a payoff-kink
-    characteristic the order drops.
-    """
-    check_regime(sigma)
-    intens = martingale_intensities(params)
-    lam_s = intens.lambda_star(sigma)
-    c_s, r_s, h_s = params.c(sigma), params.r(sigma), params.h(sigma)
-    tt, xx = np.meshgrid(
-        np.asarray(t_grid, dtype=float), np.asarray(x_grid, dtype=float),
-        indexing="ij",
-    )
-    f_tp = pricer_f(tt + dt, xx, sigma)
-    f_tm = pricer_f(tt - dt, xx, sigma)
-    f_xp = pricer_f(tt, xx + dx, sigma)
-    f_xm = pricer_f(tt, xx - dx, sigma)
-    f_0 = pricer_f(tt, xx, sigma)
-    f_flip = pricer_f(tt, xx * (1.0 + h_s), -sigma)
-    resid = (
-        (f_tp - f_tm) / (2.0 * dt)
-        + c_s * xx * (f_xp - f_xm) / (2.0 * dx)
-        - (r_s + lam_s) * f_0
-        + lam_s * f_flip
-    )
-    return PdeResidualReport(float(np.max(np.abs(resid))), dt, dx)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 The market is free of arbitrage exactly when (r_s - c_s) / h_s > 0 in both
 regimes; the unique martingale measure then replaces the switching
 intensities by lambda*_s = (r_s - c_s) / h_s, and the Girsanov density is
-itself the exponential of a jump telegraph process.
+itself the exponential of a jump telegraph process: Z = e^{X*} kappa*_N, which
+``model.PathState.jump_exponential`` evaluates at the pairs (c*, h*) of
+``MartingaleIntensities``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArbitrageError
-from .model import ModelParams, Regime, RegimePath, check_regime, path_state
+from .model import ModelParams, Regime, check_regime
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,3 @@ def martingale_intensities(params: ModelParams) -> MartingaleIntensities:
         h_star_minus=h_star[-1],
     )
 
-
-def girsanov_density(path: RegimePath, params: ModelParams, t: float) -> float:
-    """Radon-Nikodym density Z(t) = e^{X*(t)} kappa*_{N(t)} along a path.
-
-    X* is the telegraph process with velocities c*_s driven by the same
-    switch times, and kappa* uses the Girsanov jump sizes h*_s.
-    """
-    intens = martingale_intensities(params)
-    return float(path_state(path, t).jump_exponential(
-        intens.c_star_plus, intens.c_star_minus,
-        intens.h_star_plus, intens.h_star_minus,
-    ))

@@ -117,43 +117,6 @@ class RegimePath:
             prev = tau
 
 
-@dataclass(frozen=True)
-class MomentConstants:
-    """Aggregate constants driving the conditional-mean formulas."""
-
-    H: float
-    Lambda: float
-    gamma_c: float
-    g: float
-    a_plus: float
-    a_minus: float
-    d_plus: float
-    d_minus: float
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "MomentConstants":
-        lam_p, lam_m = params.lambda_plus, params.lambda_minus
-        c_p, c_m = params.c_plus, params.c_minus
-        h_p, h_m = params.h_plus, params.h_minus
-        big = lam_p + lam_m
-        return cls(
-            H=h_m + h_p,
-            Lambda=big,
-            gamma_c=lam_m * lam_p / big,
-            g=(c_p * lam_m + c_m * lam_p) / big,
-            a_plus=(lam_p * h_p - lam_m * h_m) / big,
-            a_minus=(lam_m * h_m - lam_p * h_p) / big,
-            d_plus=(c_p - c_m) / big,
-            d_minus=(c_m - c_p) / big,
-        )
-
-    def a(self, sigma: Regime) -> float:
-        return self.a_plus if sigma == +1 else self.a_minus
-
-    def d(self, sigma: Regime) -> float:
-        return self.d_plus if sigma == +1 else self.d_minus
-
-
 def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, path_index).
 
@@ -340,41 +303,9 @@ def sample_path(
     )
 
 
-def switch_count(path: RegimePath, t: np.ndarray | float) -> int | np.ndarray:
-    """Number of switches on [0, t]."""
-    return _scalar(path_state(path, t).n, t, int)
-
-
 def regime_at(path: RegimePath, t: np.ndarray | float) -> Regime | np.ndarray:
     """Regime at time t (right-continuous at switch times)."""
     return _scalar(path_state(path, t).regime(), t, int)
-
-
-def telegraph_value(
-    path: RegimePath, c_plus: float, c_minus: float, t: np.ndarray | float
-) -> float | np.ndarray:
-    """Time-integral of the regime-indexed velocity up to t."""
-    return _scalar(path_state(path, t).telegraph(c_plus, c_minus), t)
-
-
-def jump_value(
-    path: RegimePath, h_plus: float, h_minus: float, t: np.ndarray | float
-) -> float | np.ndarray:
-    """Sum of jump sizes indexed by the pre-switch regime, over switches <= t."""
-    return _scalar(path_state(path, t).jump_sum(h_plus, h_minus), t)
-
-
-def kappa(n: int, sigma0: Regime, h_plus: float, h_minus: float) -> float:
-    """Stochastic-exponential jump factor after n switches from sigma0.
-
-    kappa_{2k} = (1+h_s)^k (1+h_{-s})^k, kappa_{2k+1} = (1+h_s)^{k+1} (1+h_{-s})^k.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    check_regime(sigma0)
-    h0 = h_plus if sigma0 == +1 else h_minus
-    h1 = h_minus if sigma0 == +1 else h_plus
-    return (1.0 + h0) ** ((n + 1) // 2) * (1.0 + h1) ** (n // 2)
 
 
 def log_kappa_sequence(
@@ -395,13 +326,6 @@ def stock_price(
     return _scalar(path_state(path, t).stock(params), t)
 
 
-def bond_price(
-    path: RegimePath, params: ModelParams, t: np.ndarray | float
-) -> float | np.ndarray:
-    """B(t) = exp of the time-integral of the regime-indexed rate."""
-    return _scalar(np.exp(path_state(path, t).telegraph(params.r_plus, params.r_minus)), t)
-
-
 def linear_transform_coeffs(
     c_plus: float, c_minus: float, c_tilde_plus: float, c_tilde_minus: float
 ) -> tuple[float, float]:
@@ -415,26 +339,3 @@ def linear_transform_coeffs(
     a = (c_tilde_plus - c_tilde_minus) / (c_plus - c_minus)
     b = (c_plus * c_tilde_minus - c_minus * c_tilde_plus) / (c_plus - c_minus)
     return a, b
-
-
-def conditional_means(
-    params: ModelParams, sigma_s: Regime, dt: float
-) -> tuple[float, float]:
-    """(E[J(s+dt) - J(s)], E[X(s+dt) - X(s)]) given the regime at s."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    mc = MomentConstants.from_params(params)
-    lam = params.lam(sigma_s)
-    decay = -math.expm1(-mc.Lambda * dt) / mc.Lambda  # (1 - e^{-Lambda dt}) / Lambda
-    mean_dj = mc.gamma_c * mc.H * dt + lam * mc.a(sigma_s) * decay
-    mean_dx = mc.g * dt + lam * mc.d(sigma_s) * decay
-    return mean_dj, mean_dx
-
-
-def martingale_defect(params: ModelParams) -> tuple[float, float]:
-    """(lambda_- h_- + c_-, lambda_+ h_+ + c_+); both vanish iff X + J is a
-    martingale under the physical measure."""
-    return (
-        params.lambda_minus * params.h_minus + params.c_minus,
-        params.lambda_plus * params.h_plus + params.c_plus,
-    )

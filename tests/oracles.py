@@ -10,7 +10,10 @@ MGF is summed over switch counts with one Gauss-Legendre integral per n,
 the series stops are found by a per-n loop over a scalar tail bound, and the
 starting-regime occupation is summed from the differences of the full
 boundary array, and the replication backtest prices every grid point of
-every path, the no-switch prefix each path shares included.
+every path, the no-switch prefix each path shares included. Two scalar
+references stand apart from the engine: ``kappa`` multiplies one jump factor
+per switch, and ``conditional_means`` is the closed form of the expected jump
+and telegraph increments.
 
 ``phi_kn`` is the one exception: a view over the transport route's private
 tables, which the derivative tests difference against its identities.
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from telegraph_market.densities import DensityParams, p_n, p_n_continuous
+from telegraph_market.densities import DensityParams, p_n_continuous
 from telegraph_market.errors import DivergenceError, TruncationError
 from telegraph_market.hedging import (
     PricerF,
@@ -37,7 +40,6 @@ from telegraph_market.measure import MartingaleIntensities
 from telegraph_market.model import (
     ModelParams,
     RegimePath,
-    kappa,
     log_kappa_sequence,
     path_state,
 )
@@ -68,6 +70,31 @@ def switch_count_masses_ode(
     pi0[0] = 1.0
     sol = solve_ivp(rhs, (0.0, t), pi0, rtol=1e-12, atol=1e-14, method="DOP853")
     return sol.y[:, -1]
+
+
+def kappa(n: int, sigma0: int, h_plus: float, h_minus: float) -> float:
+    """Stochastic-exponential jump factor after n switches from sigma0: one
+    factor 1 + h per switch, indexed by the regime it leaves."""
+    out, sigma = 1.0, sigma0
+    for _ in range(n):
+        out *= 1.0 + (h_plus if sigma == +1 else h_minus)
+        sigma = -sigma
+    return out
+
+
+def conditional_means(params: ModelParams, sigma_s: int, dt: float) -> tuple[float, float]:
+    """(E[J(s+dt) - J(s)], E[X(s+dt) - X(s)]) given the regime sigma_s at s,
+    J the sum of the jump sizes h: the stationary drift times dt plus a
+    transient that relaxes at rate Lambda = lambda_+ + lambda_-."""
+    lam_p, lam_m = params.lambda_plus, params.lambda_minus
+    big = lam_p + lam_m
+    decay = -math.expm1(-big * dt) / big  # (1 - e^{-Lambda dt}) / Lambda
+    lam = params.lam(sigma_s)
+    a = sigma_s * (lam_p * params.h_plus - lam_m * params.h_minus) / big
+    d = sigma_s * (params.c_plus - params.c_minus) / big
+    mean_dj = lam_m * lam_p / big * (params.h_minus + params.h_plus) * dt + lam * a * decay
+    mean_dx = (params.c_plus * lam_m + params.c_minus * lam_p) / big * dt + lam * d * decay
+    return mean_dj, mean_dx
 
 
 def phi_kn(k: int, n: int, p: np.ndarray | float, a_bar: float) -> np.ndarray | float:
@@ -112,11 +139,10 @@ def u_n_quadrature(
         c_plus=c_p, c_minus=c_m, lambda_plus=lam_p, lambda_minus=lam_m
     )
     if n == 0:
-        val = p_n(np.array([0.0]), t, 0, sigma, dens)
-        x_atom = val.atom_location
+        x_atom = dens.c(sigma) * t
         if x_atom <= y:
             return 0.0
-        return float(np.exp(-b_r * t - a_r * x_atom) * val.atom_weight)
+        return float(np.exp(-b_r * t - a_r * x_atom) * math.exp(-dens.lam(sigma) * t))
     lo, hi = max(y, c_m * t), c_p * t
     if lo >= hi:
         lo = c_m * t
@@ -153,11 +179,12 @@ def U_n_quadrature(
         c_plus=c_p, c_minus=c_m, lambda_plus=lam_p, lambda_minus=lam_m
     )
     if n == 0:
-        val = p_n(np.array([0.0]), t, 0, sigma, dens)
-        x_atom = val.atom_location
+        x_atom = dens.c(sigma) * t
         if x_atom <= y:
             return 0.0
-        return float(kap * np.exp(-b_r * t + (1.0 - a_r) * x_atom) * val.atom_weight)
+        return float(
+            kap * np.exp(-b_r * t + (1.0 - a_r) * x_atom) * math.exp(-dens.lam(sigma) * t)
+        )
     lo, hi = max(y, c_m * t), c_p * t
     if y >= hi:
         return 0.0

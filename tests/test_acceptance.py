@@ -15,13 +15,9 @@ from scipy.integrate import quad
 
 from telegraph_market import mc
 from telegraph_market.densities import DensityParams, density_total, p_n_continuous
-from telegraph_market.hedging import (
-    make_call_pricer,
-    pde_residual,
-    replication_backtest,
-)
+from telegraph_market.hedging import make_call_pricer, replication_backtest
 from telegraph_market.measure import martingale_intensities
-from telegraph_market.model import ModelParams, kappa, log_kappa_sequence, sample_path
+from telegraph_market.model import ModelParams, log_kappa_sequence, sample_path
 from telegraph_market.pricing import (
     CallSpec,
     SeriesControls,
@@ -36,7 +32,7 @@ from telegraph_market.pricing import (
 from telegraph_market.quantile import Budget, solve_budget_gamma, solve_dual
 
 from oracles import U_n_quadrature, phi_kn, switch_count_masses_ode, u_n_quadrature
-from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps
+from probes import LEFT_LIMIT_EPS, hedge_ratio_left_gaps, pde_residual
 
 CTRL = SeriesControls()
 
@@ -255,11 +251,11 @@ def test_criterion_06_fundamental_equation():
     def stock_f(t, x, sigma):
         return np.asarray(x, dtype=float)
 
-    rep = pde_residual(
+    linear = pde_residual(
         stock_f, np.array([0.2, 0.5, 0.8]), np.array([80.0, 100.0, 130.0]),
         +1, ASYM, dt=0.05, dx=5.0,
     )
-    part1 = rep.max_residual <= 1e-10
+    part1 = linear <= 1e-10
     # part 2: residual decay under grid halving on the (smooth, away from
     # the kink) call value surface. The equation is first order, but the
     # probe's symmetric stencils leave F_ttt dt^2/6 + c x F_xxx dx^2/6 as the
@@ -269,17 +265,14 @@ def test_criterion_06_fundamental_equation():
     pricer = make_call_pricer(ASYM, CallSpec(100.0, 1.0), CTRL)
     t_grid = np.array([0.3, 0.5])
     x_grid = np.array([70.0, 130.0])  # well away from the strike kink
-    residuals = []
-    for k in range(4):
-        rep_k = pde_residual(
-            pricer, t_grid, x_grid, +1, ASYM,
-            dt=4e-3 / 2**k, dx=0.4 / 2**k,
-        )
-        residuals.append(rep_k.max_residual)
+    residuals = [
+        pde_residual(pricer, t_grid, x_grid, +1, ASYM, dt=4e-3 / 2**k, dx=0.4 / 2**k)
+        for k in range(4)
+    ]
     factors = [residuals[i] / residuals[i + 1] for i in range(3)]
     part2 = all(3.0 <= f <= 5.0 for f in factors)
     ok = part1 and part2
-    _report(6, ok, f"linear-payoff residual {rep.max_residual:.2e} (<= 1e-10); "
+    _report(6, ok, f"linear-payoff residual {linear:.2e} (<= 1e-10); "
                    f"halving factors {[f'{f:.2f}' for f in factors]} "
                    f"(target 4 +- 1: central differences are second order)")
     assert ok

@@ -9,16 +9,14 @@ import telegraph_market.densities as densities
 from telegraph_market.densities import (
     DensityParams,
     density_total,
-    kolmogorov_residual,
     log_q_n,
     mgf,
-    p_n,
     p_n_continuous,
-    q_n,
 )
 from telegraph_market.errors import DivergenceError
 
-from oracles import mgf_series, switch_count_masses_ode
+from oracles import kappa, mgf_series, switch_count_masses_ode
+from probes import kolmogorov_residual
 
 DENS = DensityParams(c_plus=0.5, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5)
 
@@ -55,8 +53,11 @@ def test_density_supports(sigma):
 
 
 def test_p0_is_pure_atom():
+    # the no-switch term is the atom alone: weight e^{-lambda_+ t} at c_+ t,
+    # and nothing continuous off the support
     t = 0.7
-    val = p_n(np.array([0.0]), t, 0, +1, DENS)
+    x = np.array([DENS.c_minus * t - 0.05, DENS.c_plus * t + 0.05])
+    val = density_total(x, t, +1, DENS)
     assert val.atom_weight == pytest.approx(math.exp(-DENS.lambda_plus * t))
     assert val.atom_location == pytest.approx(DENS.c_plus * t)
     assert np.all(np.atleast_1d(val.continuous) == 0.0)
@@ -104,7 +105,7 @@ def test_log_density_vectorized_over_n():
         rows = np.exp(log_q_n(x, t, n, sigma, DENS))
         assert rows.shape == (15, x.size)
         for k in range(15):
-            ref = q_n(x, t, k + 1, sigma, DENS)
+            ref = np.exp(log_q_n(x, t, k + 1, sigma, DENS))
             assert np.allclose(rows[k], ref, rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError):
         log_q_n(x, t, np.array([[0], [1]]), +1, DENS)
@@ -133,8 +134,6 @@ def test_mgf_matches_direct_expectation():
     # E[e^{z(X + ln kappa_N)}] by quadrature over the per-n densities
     z, t, sigma, hp, hm = 0.8, 1.0, +1, -0.2, 0.4
     val = mgf(z, t, sigma, DENS, hp, hm)
-    from telegraph_market.model import kappa
-
     # kappa enters as e^{z ln kappa_n} = kappa_n^z
     acc = math.exp(z * DENS.c(sigma) * t) * math.exp(-DENS.lam(sigma) * t)
     for n in range(1, 60):
@@ -189,8 +188,8 @@ def test_mgf_divergence_flagged():
 def test_kolmogorov_residual_small_and_perturbation_detected(monkeypatch):
     t = 1.0
     x_grid = np.linspace(DENS.c_minus * t * 0.5, DENS.c_plus * t * 0.5, 9)
-    rep = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4)
-    assert rep.max_residual < 1e-5
+    good = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4)
+    assert good < 1e-5
     # scale the n = 3 values by 1.01, leaving the n = 2 source as it is
     real = densities.p_n_continuous
     monkeypatch.setattr(
@@ -198,7 +197,7 @@ def test_kolmogorov_residual_small_and_perturbation_detected(monkeypatch):
         lambda x, t, n, *rest: real(x, t, n, *rest) * (1.01 if n == 3 else 1.0),
     )
     bad = kolmogorov_residual(DENS, 3, +1, t, x_grid, dx=1e-4, dt=1e-4)
-    assert bad.max_residual > 100 * rep.max_residual
+    assert bad > 100 * good
 
 
 def test_density_params_validation():

@@ -10,15 +10,13 @@ from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import (
     ModelParams,
     PathState,
-    conditional_means,
-    martingale_defect,
     sample_switch_times,
     switch_state,
 )
 from telegraph_market.pricing import CallSpec, SeriesControls, call_price
 from telegraph_market.quantile import QuantileSolution
 
-from oracles import strategy_profit
+from oracles import conditional_means, strategy_profit
 
 CTRL = SeriesControls()
 
@@ -453,7 +451,10 @@ def test_martingale_defect_zero_means_driftless():
         c_plus=0.4, c_minus=-0.3, lambda_plus=2.0, lambda_minus=1.5,
         h_plus=-0.2, h_minus=0.2, r_plus=0.05, r_minus=0.05, s0=100.0, sigma0=1,
     )
-    assert martingale_defect(params) == pytest.approx((0.0, 0.0), abs=1e-15)
+    for sigma in (+1, -1):
+        assert params.lam(sigma) * params.h(sigma) + params.c(sigma) == pytest.approx(
+            0.0, abs=1e-15
+        )
     n = 400_000
     x, j = _terminal_xj(params, 1.3, n, 23)
     vals = x + j

@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 
 from telegraph_market.errors import ArbitrageError
-from telegraph_market.measure import (
-    girsanov_density,
-    martingale_intensities,
-    no_arbitrage_check,
+from telegraph_market.measure import martingale_intensities, no_arbitrage_check
+from telegraph_market.model import (
+    PathState,
+    RegimePath,
+    path_state,
+    sample_path,
+    switch_state,
 )
-from telegraph_market.model import sample_path
+
+
+def _girsanov(st, intens):
+    """Z = e^{X*} kappa*_N at a path state."""
+    return st.jump_exponential(
+        intens.c_star_plus, intens.c_star_minus,
+        intens.h_star_plus, intens.h_star_minus,
+    )
 
 
 def test_no_arbitrage_ok(asym_params):
@@ -53,21 +63,24 @@ def test_intensities_identities(asym_params):
 def test_girsanov_density_positive_and_unit_mean(asym_params):
     t = 1.0
     n = 40000
-    vals = np.empty(n)
-    for i in range(n):
-        path = sample_path(asym_params, t, seed=123, path_index=i)
-        vals[i] = girsanov_density(path, asym_params, t)
+    paths = [sample_path(asym_params, t, seed=123, path_index=i) for i in range(n)]
+    # one column per path, padded with inf past its last switch: a padded row
+    # adds t - t = +0.0 to the occupation, so every value is the path's own
+    rows = max(len(p.switch_times) for p in paths)
+    times = np.full((rows, n), np.inf)
+    for j, path in enumerate(paths):
+        times[:len(path.switch_times), j] = path.switch_times
+    st = PathState(asym_params.sigma0, t, *switch_state(times, t))
+    vals = _girsanov(st, martingale_intensities(asym_params))
     assert np.all(vals > 0)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - 1.0) < 3 * se
 
 
 def test_girsanov_density_no_switch_value(asym_params):
-    from telegraph_market.model import RegimePath
-
     intens = martingale_intensities(asym_params)
     path = RegimePath(sigma0=+1, switch_times=(), horizon=1.0)
     expected = math.exp(intens.c_star_plus * 1.0)
-    assert girsanov_density(path, asym_params, 1.0) == pytest.approx(
+    assert _girsanov(path_state(path, 1.0), intens) == pytest.approx(
         expected, rel=1e-14
     )

@@ -15,9 +15,6 @@ from telegraph_market.model import (
     ModelParams,
     PathState,
     RegimePath,
-    bond_price,
-    jump_value,
-    kappa,
     linear_transform_coeffs,
     log_kappa_sequence,
     path_rng,
@@ -26,12 +23,10 @@ from telegraph_market.model import (
     sample_path,
     sample_switch_times,
     stock_price,
-    switch_count,
     switch_state,
-    telegraph_value,
 )
 
-from oracles import switch_state_concat_diff
+from oracles import kappa, switch_state_concat_diff
 
 
 def test_params_validation(asym_params):
@@ -250,9 +245,9 @@ def test_regime_and_count():
     assert regime_at(path, 0.5) == -1  # right-continuous at switches
     assert regime_at(path, 1.0) == -1
     assert regime_at(path, 1.25) == +1
-    assert switch_count(path, 0.49) == 0
-    assert switch_count(path, 0.5) == 1
-    assert switch_count(path, 2.0) == 2
+    assert path_state(path, 0.49).n == 0
+    assert path_state(path, 0.5).n == 1
+    assert path_state(path, 2.0).n == 2
 
 
 def test_telegraph_value_bounds(asym_params):
@@ -260,14 +255,14 @@ def test_telegraph_value_bounds(asym_params):
     for _ in range(200):
         t = float(rng.uniform(0.1, 3.0))
         path = sample_path(asym_params, t, seed=int(rng.integers(1 << 30)))
-        x = telegraph_value(path, asym_params.c_plus, asym_params.c_minus, t)
+        x = path_state(path, t).telegraph(asym_params.c_plus, asym_params.c_minus)
         assert asym_params.c_minus * t - 1e-12 <= x <= asym_params.c_plus * t + 1e-12
 
 
 def test_telegraph_value_piecewise():
     path = RegimePath(sigma0=+1, switch_times=(1.0,), horizon=2.0)
-    assert telegraph_value(path, 0.5, -0.3, 2.0) == pytest.approx(0.5 - 0.3)
-    assert telegraph_value(path, 0.5, -0.3, 0.5) == pytest.approx(0.25)
+    assert path_state(path, 2.0).telegraph(0.5, -0.3) == pytest.approx(0.5 - 0.3)
+    assert path_state(path, 0.5).telegraph(0.5, -0.3) == pytest.approx(0.25)
 
 
 def test_kappa_values():
@@ -290,9 +285,9 @@ def test_log_kappa_matches_kappa():
 
 def test_jump_value_is_log_jump_sum(asym_params):
     path = RegimePath(sigma0=+1, switch_times=(0.3, 0.9), horizon=1.5)
-    j = jump_value(path, asym_params.h_plus, asym_params.h_minus, 1.5)
+    j = path_state(path, 1.5).jump_sum(asym_params.h_plus, asym_params.h_minus)
     assert j == pytest.approx(asym_params.h_plus + asym_params.h_minus)
-    assert jump_value(path, asym_params.h_plus, asym_params.h_minus, 0.1) == 0.0
+    assert path_state(path, 0.1).jump_sum(asym_params.h_plus, asym_params.h_minus) == 0.0
 
 
 def test_stock_and_bond_price(asym_params):
@@ -302,7 +297,8 @@ def test_stock_and_bond_price(asym_params):
     s_expected = 100.0 * math.exp(x) * (1.0 + asym_params.h_plus)
     assert stock_price(path, asym_params, t) == pytest.approx(s_expected, rel=1e-14)
     b_expected = math.exp(0.4 * 0.08 + 0.6 * 0.05)
-    assert bond_price(path, asym_params, t) == pytest.approx(b_expected, rel=1e-14)
+    bond = math.exp(path_state(path, t).telegraph(asym_params.r_plus, asym_params.r_minus))
+    assert bond == pytest.approx(b_expected, rel=1e-14)
 
 
 def test_linear_transform_reproduces_integrals(asym_params):
@@ -314,8 +310,9 @@ def test_linear_transform_reproduces_integrals(asym_params):
     rng = np.random.default_rng(42)
     for _ in range(50):
         path = sample_path(asym_params, 1.7, seed=int(rng.integers(1 << 30)))
-        x = telegraph_value(path, asym_params.c_plus, asym_params.c_minus, 1.7)
-        y = telegraph_value(path, asym_params.r_plus, asym_params.r_minus, 1.7)
+        st = path_state(path, 1.7)
+        x = st.telegraph(asym_params.c_plus, asym_params.c_minus)
+        y = st.telegraph(asym_params.r_plus, asym_params.r_minus)
         assert y == pytest.approx(a * x + b * 1.7, rel=1e-12, abs=1e-12)
 
 
@@ -331,8 +328,9 @@ def test_switch_count_matches_poisson_single_rate():
         h_plus=0.1, h_minus=0.1, r_plus=0.05, r_minus=0.05, s0=1.0, sigma0=1,
     )
     n = 20000
+    # a path keeps its switch times up to its horizon, so N(1) is their count
     counts = np.array([
-        switch_count(sample_path(params, 1.0, seed=99, path_index=i), 1.0)
+        len(sample_path(params, 1.0, seed=99, path_index=i).switch_times)
         for i in range(n)
     ])
     mean, se = counts.mean(), counts.std(ddof=1) / math.sqrt(n)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import telegraph_market.pricing as pricing
 import telegraph_market.quantile as quantile
-from oracles import threshold_bisection
+from oracles import kappa, threshold_bisection
 from telegraph_market.errors import BudgetError
 from telegraph_market.measure import martingale_intensities
 from telegraph_market.model import ModelParams
@@ -52,23 +52,21 @@ def double_params():
 
 def test_density_ratio_coeffs_reproduce_exponent(params):
     # e^{aX+bt} kappa*_N must equal the Girsanov density path by path
-    from telegraph_market.measure import girsanov_density
-    from telegraph_market.model import (
-        kappa, sample_path, switch_count, telegraph_value,
-    )
+    from telegraph_market.model import path_state, sample_path
 
     intens = martingale_intensities(params)
     a, b = density_ratio_coeffs(params, intens)
     for i in range(50):
-        path = sample_path(params, 1.0, seed=77, path_index=i)
-        x = telegraph_value(path, params.c_plus, params.c_minus, 1.0)
-        n = switch_count(path, 1.0)
+        st = path_state(sample_path(params, 1.0, seed=77, path_index=i), 1.0)
+        x = st.telegraph(params.c_plus, params.c_minus)
         recon = math.exp(a * x + b * 1.0) * kappa(
-            n, params.sigma0, intens.h_star_plus, intens.h_star_minus
+            int(st.n), params.sigma0, intens.h_star_plus, intens.h_star_minus
         )
-        assert recon == pytest.approx(
-            girsanov_density(path, params, 1.0), rel=1e-12
+        girsanov = st.jump_exponential(
+            intens.c_star_plus, intens.c_star_minus,
+            intens.h_star_plus, intens.h_star_minus,
         )
+        assert recon == pytest.approx(girsanov, rel=1e-12)
 
 
 def test_threshold_single_case_properties(params):
@@ -86,8 +84,6 @@ def test_threshold_single_case_properties(params):
 
 
 def test_threshold_residual(params):
-    from telegraph_market.model import kappa
-
     intens = martingale_intensities(params)
     a, b = density_ratio_coeffs(params, intens)
     gamma = 0.05
@@ -111,8 +107,6 @@ def test_case_label_splits_at_unit_exponent():
 
 
 def test_double_threshold_structure(double_params):
-    from telegraph_market.model import kappa
-
     intens = martingale_intensities(double_params)
     a, b = density_ratio_coeffs(double_params, intens)
     assert -a > 1.0
